@@ -40,7 +40,7 @@ from .separation import (
     exp_separation_scan,
     transversality_search,
 )
-from .words import SystemParams, Word
+from .words import SystemParams, max_level
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,13 @@ class RunConfig:
     seed: int = 0
     budgets: dict = field(default_factory=dict)
     outdir: str = "out"
+
+    def __post_init__(self):
+        for k, v in self.budgets.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"budget {k} must be numeric")
+            if v <= 0:
+                raise ValueError(f"budget {k} must be positive")
 
     def to_json(self) -> str:
         doc = {
@@ -78,17 +85,11 @@ class RunConfig:
             phi=PeriodicFn.from_triples(sysdoc.get("phi", [])),
             truncation_tol=float(sysdoc.get("truncation_tol", 1e-9)),
         )
-        budgets = {str(k): v for k, v in doc.get("budgets", {}).items()}
-        for k, v in budgets.items():
-            if not isinstance(v, (int, float)):
-                raise ValueError(f"budget {k} must be numeric")
-            if v <= 0:
-                raise ValueError(f"budget {k} must be positive")
         return cls(
             params=params,
             experiments=tuple(doc.get("experiments", [])),
             seed=int(doc.get("seed", 0)),
-            budgets=budgets,
+            budgets={str(k): v for k, v in doc.get("budgets", {}).items()},
             outdir=str(doc.get("outdir", "out")),
         )
 
@@ -99,6 +100,8 @@ def default_params() -> SystemParams:
 
 def _budget(cfg: RunConfig, key: str, default):
     v = cfg.budgets.get(key, default)
+    if isinstance(default, int) and not float(v).is_integer():
+        raise ValueError(f"budget {key} must be an integer, got {v!r}")
     return type(default)(v)
 
 
@@ -177,7 +180,7 @@ def _exp_porosity(cfg: RunConfig, folder: Path) -> dict:
     word_len = _budget(cfg, "porosity_word_len", 10)
     m = _budget(cfg, "porosity_m", 6)
     k = _budget(cfg, "porosity_k", 4)
-    depth = _budget(cfg, "porosity_depth", min(14, int(23 / math.log2(p.b))))
+    depth = _budget(cfg, "porosity_depth", min(14, max_level(p.b, 2**23)))
     eps = float(cfg.budgets.get("porosity_eps", 0.2))
     alpha = min(1.0, math.log(p.b) / math.log(1.0 / p.gamma))
     rng = np.random.default_rng(cfg.seed)

@@ -45,6 +45,13 @@ def cond_entropy(mu: DiscreteMeasure, fine_level: int, coarse_level: int) -> flo
 # dimension estimation
 # ---------------------------------------------------------------------------
 
+def fit_line(xs, ys) -> tuple[float, float, np.ndarray]:
+    """Least-squares line through the points: (slope, intercept, residuals)."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    return float(slope), float(intercept), ys - (slope * xs + intercept)
+
+
 @dataclass(frozen=True)
 class EntropyProfile:
     """Per-level entropies with the regression slope as dimension estimate."""
@@ -85,18 +92,15 @@ def dimension_estimate(
     for lev in levels:
         mu = mu_builder(lev)
         ents.append(entropy(mu, lev))
-    xs = np.asarray(levels, dtype=float)
-    ys = np.asarray(ents)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
+    slope, intercept, resid = fit_line(levels, ents)
     return EntropyProfile(
         levels=tuple(levels),
         entropies=tuple(float(v) for v in ents),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         slope_window=(levels[0], levels[-1]),
         residuals=tuple(float(v) for v in resid),
-        increments=tuple(float(v) for v in np.diff(ys)),
+        increments=tuple(float(v) for v in np.diff(ents)),
     )
 
 

@@ -20,8 +20,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dynamics import attractor_points
+from .entropy import fit_line
+from .measures import bin_index
 from .periodic import PeriodicFn, eval as phi_eval, sup_norm
-from .words import SystemParams
+from .words import SystemParams, max_level
 
 
 def predicted_dimension(b: int, gamma: float) -> float:
@@ -97,23 +99,20 @@ class BoxCountResult:
 
 
 def _fit(levels, counts, b) -> BoxCountResult:
-    xs = np.asarray(levels, dtype=float)
     ys = np.log(np.asarray(counts, dtype=float)) / math.log(b)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
+    slope, intercept, resid = fit_line(levels, ys)
     return BoxCountResult(
         tuple(int(v) for v in levels),
         tuple(int(v) for v in counts),
-        float(slope),
-        float(intercept),
+        slope,
+        intercept,
         tuple(float(v) for v in resid),
     )
 
 
 def _occupied_keys(xb: np.ndarray, yb: np.ndarray, level: int, b: int) -> np.ndarray:
-    scale = float(b) ** level
-    ix = np.floor(xb * scale).astype(np.int64)
-    iy = np.floor(yb * scale).astype(np.int64)
+    ix = bin_index(xb, b, level)
+    iy = bin_index(yb, b, level)
     return np.unique((ix << 32) ^ (iy + (1 << 31)))
 
 
@@ -132,7 +131,7 @@ def box_count_dimension(
     if len(levels) < 3:
         raise ValueError("need at least 3 levels")
     lmax = levels[-1]
-    if lmax > int(30 / math.log2(b)):
+    if lmax > max_level(b, 2**30):
         raise ValueError("finest level too deep for packed box keys")
     if isinstance(points, np.ndarray):
         pts = np.asarray(points, dtype=float)
@@ -167,10 +166,8 @@ def box_count_graph(xs: np.ndarray, ys: np.ndarray, levels, b: int = 2) -> BoxCo
         raise ValueError("need at least 3 levels")
     lmax = levels[-1]
     ncol = b**lmax
-    scale = float(ncol)
-    col = np.floor(np.asarray(xs, dtype=float) * scale).astype(np.int64)
-    col = np.clip(col, 0, ncol - 1)
-    iy = np.floor(np.asarray(ys, dtype=float) * scale).astype(np.int64)
+    col = np.clip(bin_index(xs, b, lmax), 0, ncol - 1)
+    iy = bin_index(ys, b, lmax)
     top = np.full(ncol, np.iinfo(np.int64).min)
     bot = np.full(ncol, np.iinfo(np.int64).max)
     np.maximum.at(top, col, iy)

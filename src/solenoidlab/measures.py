@@ -4,8 +4,11 @@ A measure lives at a fixed level n: mass sits on cells [j/b^n, (j+1)/b^n),
 stored as a sorted table of int64 cell indices with positive weights that
 sum to one.  Levels are capped so that index arithmetic stays exact in
 float64 (b^level <= 2^45).  All builders accumulate per-chunk histograms and
-merge them associatively, so results are deterministic for fixed seeds and
-independent of chunk scheduling.
+merge them associatively.  Exact builders are therefore independent of chunk
+scheduling; sampled builders are deterministic for a fixed seed, but their
+random streams are drawn in chunks whose size is fixed by a module constant
+(``_CHUNK`` here, ``DEFAULT_CHUNK_CAP`` for ``partitions.measure_B``), so
+changing that constant changes the samples.
 
 Affine images deposit each source cell's mass at the image of the cell
 midpoint; the induced atom displacement is at most |a| b^(-level) / 2 and is
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodic import eval as phi_eval
-from .series import eval_S, iter_series_all_words
-from .words import SystemParams, Word
+from .periodic import eval as phi_eval  # noqa: F401 - perfbench/layers.py wraps this name
+from .series import DEFAULT_CHUNK_CAP, eval_S, iter_series_all_words, random_tail_series
+from .words import SystemParams, Word, max_level
 
 WORK_BUDGET = 10**8
 _CHUNK = 1 << 20
@@ -40,13 +43,14 @@ class BAdicCell:
         w = float(self.b) ** (-self.level)
         return self.index * w, (self.index + 1) * w
 
-    def contains(self, value: float) -> bool:
-        lo, hi = self.interval()
-        return lo <= value < hi
+
+def bin_index(values, b: int, level: int) -> np.ndarray:
+    """Indices of the level-``level`` b-adic cells holding the values."""
+    return np.floor(np.asarray(values, dtype=float) * float(b) ** level).astype(np.int64)
 
 
 def cell_of(value: float, b: int, level: int) -> BAdicCell:
-    return BAdicCell(b, level, int(math.floor(value * b**level)))
+    return BAdicCell(b, level, int(bin_index(value, b, level)))
 
 
 class _Hist:
@@ -57,22 +61,13 @@ class _Hist:
         self.w: np.ndarray | None = None
 
     def add(self, idx: np.ndarray, w: np.ndarray) -> None:
-        if self.idx is None:
-            u, inv = np.unique(idx, return_inverse=True)
-            acc = np.zeros(len(u))
-            np.add.at(acc, inv, w)
-            self.idx, self.w = u, acc
-            return
-        cat = np.concatenate([self.idx, idx])
-        wat = np.concatenate([self.w, w])
-        u, inv = np.unique(cat, return_inverse=True)
+        if self.idx is not None:
+            idx = np.concatenate([self.idx, idx])
+            w = np.concatenate([self.w, w])
+        u, inv = np.unique(idx, return_inverse=True)
         acc = np.zeros(len(u))
-        np.add.at(acc, inv, wat)
+        np.add.at(acc, inv, w)
         self.idx, self.w = u, acc
-
-    def add_values(self, values: np.ndarray, w: np.ndarray, b: int, level: int) -> None:
-        idx = np.floor(values * float(b) ** level).astype(np.int64)
-        self.add(idx, w)
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,7 @@ class DiscreteMeasure:
         values = np.asarray(values, dtype=float)
         if weights is None:
             weights = np.full(values.shape, 1.0 / values.size)
-        idx = np.floor(values * float(b) ** level).astype(np.int64)
-        return cls(b, level, idx, np.asarray(weights, dtype=float))
+        return cls(b, level, bin_index(values, b, level), np.asarray(weights, dtype=float))
 
     @classmethod
     def dirac(cls, b: int, level: int, value: float) -> "DiscreteMeasure":
@@ -149,9 +143,6 @@ class DiscreteMeasure:
     def support_diameter(self) -> float:
         w = float(self.b) ** (-self.level)
         return float((self.indices[-1] - self.indices[0] + 1) * w)
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(i): float(v) for i, v in zip(self.indices, self.weights)}
 
     def coarsen(self, level: int) -> "DiscreteMeasure":
         if level > self.level:
@@ -196,7 +187,7 @@ class ComponentMeasure:
 def _check_level(b: int, level: int) -> None:
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if level > int(45 / math.log2(b)):
+    if level > max_level(b, 2**45):
         raise ValueError(f"level {level} too deep for exact base-{b} cell indices")
 
 
@@ -210,7 +201,6 @@ def build_mx_empirical(
     level: int,
     n_samples: int,
     seed: int,
-    chunk: int = _CHUNK,
 ) -> DiscreteMeasure:
     """Histogram of the word series over i.i.d. uniform words.
 
@@ -221,22 +211,12 @@ def build_mx_empirical(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    b, gam = params.b, params.gamma
     depth = params.truncation_depth
-    scale = float(b) ** level
     hist = _Hist()
-    done = 0
-    while done < n_samples:
-        m = int(min(chunk, n_samples - done))
-        tau = np.full(m, float(x))
-        vals = np.zeros(m)
-        coef = 1.0
-        for _ in range(depth):
-            tau = (tau + rng.integers(0, b, m)) / b
-            vals += coef * phi_eval(params.phi, tau)
-            coef *= gam
-        hist.add(np.floor(vals * scale).astype(np.int64), np.full(m, 1.0))
-        done += m
+    for done in range(0, n_samples, _CHUNK):
+        m = min(_CHUNK, n_samples - done)
+        vals = random_tail_series(params, [x], depth, m, rng)
+        hist.add(bin_index(vals.reshape(-1), params.b, level), np.full(m, 1.0))
     return DiscreteMeasure(params.b, level, hist.idx, hist.w)
 
 
@@ -257,11 +237,10 @@ def build_mx_exact(
         raise ValueError("depth must be >= 1")
     if params.b**depth > work_budget:
         raise ValueError(f"b^depth = {params.b**depth} exceeds the work budget {work_budget}")
-    scale = float(params.b) ** level
     hist = _Hist()
     total = params.b**depth
     for block in iter_series_all_words(params, x, depth):
-        hist.add(np.floor(block * scale).astype(np.int64), np.full(len(block), 1.0 / total))
+        hist.add(bin_index(block, params.b, level), np.full(len(block), 1.0 / total))
     return DiscreteMeasure(params.b, level, hist.idx, hist.w)
 
 
@@ -303,23 +282,20 @@ def mix(components: list[tuple[float, DiscreteMeasure]]) -> DiscreteMeasure:
     return DiscreteMeasure(b, level, hist.idx, hist.w)
 
 
-def convolve(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int, chunk: int = 1 << 22
-) -> DiscreteMeasure:
+def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int) -> DiscreteMeasure:
     """Distribution of the independent sum, midpoint deposition at out_level."""
     if mu.b != nu.b:
         raise ValueError("operands must share the base")
     _check_level(mu.b, out_level)
-    scale = float(mu.b) ** out_level
     mm, wm = mu.midpoints(), mu.weights
     nm, wn = nu.midpoints(), nu.weights
-    rows = max(1, chunk // max(1, len(mm)))
+    rows = max(1, DEFAULT_CHUNK_CAP // max(1, len(mm)))
     hist = _Hist()
     for start in range(0, len(nm), rows):
         sl = slice(start, start + rows)
         vals = (nm[sl][:, None] + mm[None, :]).reshape(-1)
         ws = (wn[sl][:, None] * wm[None, :]).reshape(-1)
-        hist.add(np.floor(vals * scale).astype(np.int64), ws)
+        hist.add(bin_index(vals, mu.b, out_level), ws)
     return DiscreteMeasure(mu.b, out_level, hist.idx, hist.w)
 
 
@@ -386,8 +362,7 @@ def self_similarity_residual(
         raise ValueError("depth exceeds work budget")
     lhs = build_mx_exact(params, x, level, depth, work_budget)
     lgb = math.log(1.0 / params.gamma) / math.log(params.b)
-    cap = int(45 / math.log2(params.b))
-    inner_level = min(level + math.ceil((depth - n) * lgb), cap)
+    inner_level = min(level + math.ceil((depth - n) * lgb), params.max_bin_level())
     gn = params.gamma**n
     parts = []
     for code in range(params.b**n):

@@ -21,10 +21,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _Hist, build_mx_exact, total_variation
+from .measures import DiscreteMeasure, _Hist, bin_index, build_mx_exact, total_variation
 from .separation import GENERIC_BASE_POINT, SeparationScan, TransversalityCertificate
-from .series import eval_S, random_tail_series, series_at_codes, series_fixed_word, series_over_prefixes
-from .words import SystemParams, Word, nhat, word_point
+from .series import (
+    DEFAULT_CHUNK_CAP,
+    eval_S,
+    random_tail_series,
+    series_at_codes,
+    series_fixed_word,
+    series_over_prefixes,
+)
+from .words import SystemParams, Word, max_level, nhat, word_point
 
 ENUM_BUDGET = 1 << 20
 
@@ -61,13 +68,13 @@ def partition_key(
     m = len(w)
     lev3 = _clip_level(params, n + int(m * _log_contraction(params)))
     s3 = eval_S(params, x0, w).value
-    cell3 = int(math.floor(s3 * params.b**lev3))
+    cell3 = int(bin_index(s3, params.b, lev3))
     if n == 0:
         return PartitionKey(m, 0, None, None, cell3, lev3)
     base = word_point(w, x0)
     lev12 = _clip_level(params, n)
-    c1 = int(math.floor(eval_S(params, base, h).value * params.b**lev12))
-    c2 = int(math.floor(eval_S(params, base, h_prime).value * params.b**lev12))
+    c1 = int(bin_index(eval_S(params, base, h).value, params.b, lev12))
+    c2 = int(bin_index(eval_S(params, base, h_prime).value, params.b, lev12))
     return PartitionKey(m, n, c1, c2, cell3, lev3)
 
 
@@ -148,7 +155,6 @@ def measure_B(
     tail_samples: int,
     seed: int,
     level: int,
-    chunk: int = 1 << 22,
 ) -> DiscreteMeasure:
     """Distribution of S(x0, w q j) with w ~ xi and seeded i.i.d. digit tails,
     truncated at the system truncation depth."""
@@ -162,14 +168,13 @@ def measure_B(
     contraction = params.gamma**head_len
     depth_tail = params.truncation_depth
     hist = _Hist()
-    rows = max(1, chunk // tail_samples)
-    scale = float(params.b) ** level
+    rows = max(1, DEFAULT_CHUNK_CAP // tail_samples)
     for start in range(0, len(head_vals), rows):
         sl = slice(start, start + rows)
         tails = random_tail_series(params, base_pts[sl], depth_tail, tail_samples, rng)
         vals = head_vals[sl][:, None] + contraction * tails
         ws = np.repeat(xi.weights[sl] / tail_samples, tail_samples)
-        hist.add(np.floor(vals.reshape(-1) * scale).astype(np.int64), ws)
+        hist.add(bin_index(vals.reshape(-1), params.b, level), ws)
     return DiscreteMeasure(params.b, level, hist.idx, hist.w)
 
 
@@ -213,7 +218,7 @@ def decomposition_check(
         raise ValueError("matched scales must exceed t")
     if b ** (nh - t) > budget or b ** (ih - t) > budget:
         raise ValueError("word enumeration exceeds the budget")
-    depth_lhs = min(params.truncation_depth, int(23 / math.log2(b)) + 1)
+    depth_lhs = min(params.truncation_depth, max_level(b, 2**23) + 1)
     lhs = build_mx_exact(params, x0, level, depth_lhs)
     hist = _Hist()
     outer = 1.0 / b ** (2 * t)
@@ -307,14 +312,14 @@ def theta_entropy_table(
         s1 = series_fixed_word(params, base, cert.h.digits)
         s2 = series_fixed_word(params, base, cert.h_prime.digits)
         lev_c = _clip_level(params, int(nh * lgb))
-        k3c = np.floor(s3 * float(params.b) ** lev_c).astype(np.int64)
+        k3c = bin_index(s3, params.b, lev_c)
         coarse = _entropy_of_key_rows([k3c], theta.weights, params.b) / n
         lev_cn = _clip_level(params, max(1, round(C * n)))
         lev3f = _clip_level(params, lev_cn + int(nh * lgb))
         cols = [
-            np.floor(s1 * float(params.b) ** lev_cn).astype(np.int64),
-            np.floor(s2 * float(params.b) ** lev_cn).astype(np.int64),
-            np.floor(s3 * float(params.b) ** lev3f).astype(np.int64),
+            bin_index(s1, params.b, lev_cn),
+            bin_index(s2, params.b, lev_cn),
+            bin_index(s3, params.b, lev3f),
         ]
         fine = _entropy_of_key_rows(cols, theta.weights, params.b) / n
         rows.append(

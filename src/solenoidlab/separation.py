@@ -18,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic import sup_norm
-from .series import eval_S_deriv, series_fixed_word, series_over_prefixes
-from .words import SystemParams, Word, nhat
-
-#: Exhaustive enumeration cap per scan; larger requests fall back to sampling.
-SCAN_ENUM_CAP = 1 << 22
+from .series import DEFAULT_CHUNK_CAP, eval_S_deriv, series_fixed_word, series_over_prefixes
+from .words import SystemParams, Word, max_level, nhat
 
 #: A generic irrational base point used wherever one representative x is needed.
 GENERIC_BASE_POINT = math.sqrt(2.0) - 1.0
@@ -32,7 +29,7 @@ GENERIC_BASE_POINT = math.sqrt(2.0) - 1.0
 # value-set gaps
 # ---------------------------------------------------------------------------
 
-def min_gap(params: SystemParams, x: float, w: Word, n: int, max_enum: int = SCAN_ENUM_CAP) -> float:
+def min_gap(params: SystemParams, x: float, w: Word, n: int, max_enum: int = DEFAULT_CHUNK_CAP) -> float:
     """Minimum pairwise distance of {S(x, j w) : j in Lambda^(n - |w|)}.
 
     Exact finite-word evaluation; enumeration is sorted so the result does
@@ -189,12 +186,12 @@ def condition_H_scan(
     params: SystemParams,
     x_grid_size: int = 64,
     word_depth: int = 12,
-    budget: int = SCAN_ENUM_CAP,
+    budget: int = DEFAULT_CHUNK_CAP,
 ) -> DichotomyVerdict:
     """Scan sup over an x-grid and all depth-limited word pairs with
     differing first digit of |S(x, i) - S(x, j)|."""
     b = params.b
-    depth = min(word_depth, int(math.log(budget) / math.log(b)))
+    depth = min(word_depth, max_level(b, budget))
     grid = (np.arange(x_grid_size) + 0.5) / x_grid_size
     sup_gap = -math.inf
     wit = None

@@ -15,10 +15,22 @@ evaluated exactly; infinite words are truncated at the depth forced by the
 system's truncation tolerance, and every truncated value carries a certified
 tail bound.
 
-Bulk kernels enumerate S over *all* words of a given length in little-endian
-code order with one numpy pass per digit level: the word points of all
-length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1}, so level n
-costs one vectorized phi evaluation on b^n points.
+Every bulk evaluation runs one append kernel, ``_append_series``: from base
+points tau it applies tau <- (tau + d) / b per digit row d and adds
+c phi^(k)(tau), with c shrinking by gamma b^-k per digit.  The callers differ
+only in where the digits come from: a fixed word (``series_fixed_word``), the
+digits of explicit codes (``series_at_codes``), a common suffix or the high
+digits of an enumeration chunk, appended to prefix word points
+(``series_over_prefixes``, ``iter_series_all_words``), or seeded uniform rows
+(``random_tail_series``).
+
+Enumerating all prefixes of a length uses the tile recursion instead: the
+word points of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1},
+so level n costs one phi evaluation on b^n points, about b/(b-1) b^n points
+in all against n b^n for appending per word.
+
+``eval_S_deriv`` stays a scalar loop over Python floats that shares no code
+with the bulk path, so it serves as the reference oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .periodic import eval_deriv
-from .words import SystemParams, Word, word_point
+from .words import SystemParams, Word, max_level, word_point
 
 #: Largest array a bulk enumeration materializes at once.
 DEFAULT_CHUNK_CAP = 1 << 22
@@ -103,36 +115,28 @@ def cocycle_check(params: SystemParams, x: float, w: Word, i: Word) -> float:
 # bulk kernels
 # --------------------------------------------------------------------------
 
-def series_fixed_word(params: SystemParams, xs: np.ndarray, digits, order: int = 0) -> np.ndarray:
-    """S^(order)(x, word) for a fixed word over a vector of base points."""
-    b, gam = params.b, params.gamma
-    tau = np.asarray(xs, dtype=float).copy()
-    out = np.zeros_like(tau)
-    coef = float(b) ** (-order)
-    step = gam * float(b) ** (-order)
-    for d in digits:
+def _append_series(params: SystemParams, tau, digit_rows, order: int = 0, coef: float | None = None):
+    """sum_n c_n phi^(order)(tau_n) with tau_n = (tau_{n-1} + d_n) / b, one term
+    per digit row d_n (scalars or arrays broadcasting against tau).
+
+    c_1 = coef, by default b^-order as for a series starting at its first
+    digit; c_{n+1} = c_n gamma b^-order.
+    """
+    b = params.b
+    step = params.gamma * float(b) ** (-order)
+    coef = float(b) ** (-order) if coef is None else coef
+    out = np.zeros(np.shape(tau))
+    for d in digit_rows:
         tau = (tau + d) / b
-        out += coef * eval_deriv(params.phi, tau, order)
+        del d  # a sampled digit row is not kept through the phi call
+        out = out + coef * eval_deriv(params.phi, tau, order)
         coef *= step
     return out
 
 
-def _suffix_terms(params, x, prefix_len, low_codes, suffix, order, start_coef):
-    """Contribution of fixed suffix digits on top of all low-code prefixes."""
-    b, gam = params.b, params.gamma
-    out = np.zeros_like(low_codes, dtype=float)
-    coef = start_coef
-    base = float(b) ** prefix_len
-    sufcode = 0
-    place = 1
-    for k, d in enumerate(suffix):
-        n = prefix_len + k + 1
-        sufcode += int(d) * place
-        place *= b
-        arg = (x + low_codes + base * sufcode) / float(b) ** n
-        out += coef * eval_deriv(params.phi, arg, order)
-        coef *= gam * float(b) ** (-order)
-    return out
+def series_fixed_word(params: SystemParams, xs: np.ndarray, digits, order: int = 0) -> np.ndarray:
+    """S^(order)(x, word) for a fixed word over a vector of base points."""
+    return _append_series(params, np.asarray(xs, dtype=float), digits, order)
 
 
 def series_over_prefixes(
@@ -147,17 +151,16 @@ def series_over_prefixes(
         raise ValueError(
             f"b^{prefix_len} exceeds the materialization cap; use iter_series_all_words"
         )
-    gam = params.gamma
     A = np.zeros(1)
+    pts = np.array([float(x)])
     coef = float(b) ** (-order)
-    step = gam * float(b) ** (-order)
+    step = params.gamma * float(b) ** (-order)
     for n in range(1, prefix_len + 1):
-        codes = np.arange(b**n, dtype=np.float64)
-        A = np.tile(A, b) + coef * eval_deriv(params.phi, (x + codes) / float(b**n), order)
+        pts = (x + np.arange(b**n, dtype=np.float64)) / float(b**n)
+        A = np.tile(A, b) + coef * eval_deriv(params.phi, pts, order)
         coef *= step
     if len(suffix):
-        low = np.arange(b**prefix_len, dtype=np.float64)
-        A = A + _suffix_terms(params, x, prefix_len, low, tuple(suffix), order, coef)
+        A = A + _append_series(params, pts, suffix, order, coef)
     return A
 
 
@@ -165,18 +168,16 @@ def series_at_codes(
     params: SystemParams, x: float, length: int, codes: np.ndarray, suffix=(), order: int = 0
 ) -> np.ndarray:
     """S^(order)(x, j . suffix) for the words j of given length with these codes."""
-    b, gam = params.b, params.gamma
     codes = np.asarray(codes, dtype=np.int64)
-    out = np.zeros(codes.shape, dtype=float)
-    coef = float(b) ** (-order)
-    step = gam * float(b) ** (-order)
-    for n in range(1, length + 1):
-        rem = codes % (b**n)
-        out += coef * eval_deriv(params.phi, (x + rem) / float(b**n), order)
-        coef *= step
-    if len(suffix):
-        out += _suffix_terms(params, x, length, codes.astype(float), tuple(suffix), order, coef)
-    return out
+
+    def digit_rows():
+        rest = codes
+        for _ in range(length):
+            rest, digit = np.divmod(rest, params.b)
+            yield digit
+        yield from suffix
+
+    return _append_series(params, np.full(codes.shape, float(x)), digit_rows(), order)
 
 
 def iter_series_all_words(
@@ -184,34 +185,16 @@ def iter_series_all_words(
 ) -> Iterator[np.ndarray]:
     """Yield S(x, j) over all j in Lambda^depth in code order, chunked.
 
-    The first t levels (b^t <= chunk_cap) use the tile recursion; remaining
-    digits are enumerated explicitly per chunk.
+    The first t levels (b^t <= chunk_cap) use the tile recursion; each chunk
+    appends its remaining digits to the length-t prefix word points.
     """
     b = params.b
-    t = min(depth, int(np.log(chunk_cap) / np.log(b)))
+    t = min(depth, max_level(b, chunk_cap))
     A = series_over_prefixes(params, x, t)
-    if t == depth:
-        yield A
-        return
-    low = np.arange(b**t, dtype=np.float64)
-    gam = params.gamma
-    base_coef = gam**t
-    base = float(b**t)
+    pts = (x + np.arange(b**t, dtype=np.float64)) / float(b**t)
     for high in range(b ** (depth - t)):
-        out = A.copy()
-        coef = base_coef
-        hh = high
-        place = 1
-        sufcode = 0
-        # digits t+1..depth of this chunk, little-endian within the high part
-        for n in range(t + 1, depth + 1):
-            sufcode += (hh % b) * place
-            hh //= b
-            place *= b
-            arg = (x + low + base * sufcode) / float(b) ** n
-            out += coef * eval_deriv(params.phi, arg, 0)
-            coef *= gam
-        yield out
+        digits = Word.from_code(high, depth - t, b).digits
+        yield A + _append_series(params, pts, digits, 0, params.gamma**t)
 
 
 def random_tail_series(
@@ -222,13 +205,6 @@ def random_tail_series(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """S(p, tail) for seeded i.i.d. tails: shape (len(base_points), samples_per)."""
-    b, gam = params.b, params.gamma
-    tau = np.repeat(np.asarray(base_points, dtype=float), samples_per).reshape(-1, samples_per)
-    out = np.zeros_like(tau)
-    coef = 1.0
-    for _ in range(depth):
-        digs = rng.integers(0, b, size=tau.shape)
-        tau = (tau + digs) / b
-        out += coef * eval_deriv(params.phi, tau, 0)
-        coef *= gam
-    return out
+    tau = np.repeat(np.asarray(base_points, dtype=float), samples_per)
+    rows = (rng.integers(0, params.b, size=tau.shape) for _ in range(depth))
+    return _append_series(params, tau, rows).reshape(-1, samples_per)

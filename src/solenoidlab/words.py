@@ -135,13 +135,19 @@ class SystemParams:
 
     @property
     def truncation_depth(self) -> int:
-        """Smallest p with gamma^p * sup|phi| / (1 - gamma) <= truncation_tol."""
+        """Smallest p with gamma^p * sup|phi| / (1 - gamma) <= truncation_tol;
+        raises when that takes more than 4096 digits."""
         m = sup_norm(self.phi, 0)
         if m == 0.0:
             return 1
         p = 1
         budget = self.gamma * m / (1.0 - self.gamma)
-        while budget > self.truncation_tol and p < 4096:
+        while budget > self.truncation_tol:
+            if p == 4096:
+                raise ValueError(
+                    f"gamma={self.gamma} needs more than 4096 digits to reach truncation_tol="
+                    f"{self.truncation_tol}: the tail bound at 4096 digits is {budget:.3g}"
+                )
             budget *= self.gamma
             p += 1
         return p
@@ -157,7 +163,15 @@ class SystemParams:
 
     def max_bin_level(self) -> int:
         """Deepest b-adic level whose cell indices stay exact in float64."""
-        return int(45 / math.log2(self.b))
+        return max_level(self.b, 2**45)
+
+
+def max_level(b: int, limit) -> int:
+    """Largest L >= 0 with b^L <= limit, in exact integer arithmetic."""
+    level, power = 0, b
+    while power <= limit:
+        level, power = level + 1, power * b
+    return level
 
 
 def sample_words(b: int, length: int, count: int, seed: int) -> list[Word]:
@@ -170,10 +184,3 @@ def sample_words(b: int, length: int, count: int, seed: int) -> list[Word]:
     mat = rng.integers(0, b, size=(count, length))
     return [Word(tuple(int(v) for v in row), b) for row in mat]
 
-
-def sample_word_codes(b: int, length: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Little-endian codes of i.i.d. uniform words, as a vector."""
-    if b**length <= 2**62:
-        # draw one integer per word; same distribution as digit-by-digit
-        return rng.integers(0, b**length, size=count, dtype=np.int64)
-    raise ValueError("word space too large for integer codes")

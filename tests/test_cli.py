@@ -123,3 +123,19 @@ def test_main_single_experiment_with_budget_override(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "dichotomy-check" / "summary.txt").exists()
+
+
+def test_non_integral_budgets_rejected_at_the_edge(tmp_path, capsys):
+    doc = {"system": {"b": 2, "gamma": 0.4, "phi": [[1, 1, 0]]}, "budgets": {"mx_samples": True}}
+    with pytest.raises(ValueError, match="mx_samples"):
+        RunConfig.from_json(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**doc, "experiments": ["dichotomy-check"]}))
+    assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+    assert "mx_samples" in capsys.readouterr().err
+    argv = ["dichotomy-check", "--outdir", str(tmp_path), "--budget", "word_depth=1.5"]
+    assert main(argv) == 2
+    assert "word_depth" in capsys.readouterr().err
+    argv = ["dichotomy-check", "--outdir", str(tmp_path), "--budget", "x_grid=0"]
+    assert main(argv) == 2
+    assert "x_grid" in capsys.readouterr().err

@@ -171,3 +171,9 @@ def test_transversality_small_prefix_certificate():
     cert = transversality_search(p, [2], grid_size=1024)
     assert cert is not None and cert.t == 2
     assert validate_certificate(p, cert)
+
+
+def test_dichotomy_scan_depth_reaches_exact_power_budget():
+    v = condition_H_scan(SystemParams(3, 0.3, COS), x_grid_size=16, budget=3**10)
+    assert v.verdict == "H"
+    assert [len(w) for w in v.witness_pair] == [10, 10]

@@ -166,3 +166,11 @@ def test_chunked_enumeration_matches_full():
     full = series_over_prefixes(p, 0.45, 10)
     chunks = np.concatenate(list(iter_series_all_words(p, 0.45, 10, chunk_cap=64)))
     assert np.allclose(full, chunks, atol=1e-14)
+
+
+def test_enumeration_chunks_fill_the_cap_at_exact_powers():
+    p = params(b=3, gamma=0.5)
+    chunks = list(iter_series_all_words(p, 0.45, 7, chunk_cap=3**5))
+    assert [len(c) for c in chunks] == [243] * 9
+    full = series_over_prefixes(p, 0.45, 7)
+    assert np.allclose(np.concatenate(chunks), full, atol=1e-14)

@@ -1,0 +1,132 @@
+"""Every bulk word-series caller against the scalar oracle ``eval_S_deriv``.
+
+The bulk paths run the oracle's recursion on arrays, so they may differ from
+it only by rounding: word points reached through other operations (a few
+ulps, carried into a term through phi^(k+1), which is at most 2 pi 3 times
+sup|phi^(k)| at degree <= 3), sines and cosines taken by another code path,
+and partial sums of at most 20 terms rounded differently.  Counted term by
+term that is about 100 eps sup|phi^(k)| times the coefficient b^-k
+(gamma b^-k)^(n-1) of term n, which sums to at most 1 / (1 - gamma b^-k).
+The tolerance is fixed from that count before running: TOL_ULPS eps
+sup_norm(phi, k) / (1 - gamma b^-k), with TOL_ULPS = 256.
+"""
+
+import copy
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from solenoidlab.periodic import PeriodicFn, sup_norm
+from solenoidlab.series import (
+    eval_S_deriv,
+    iter_series_all_words,
+    random_tail_series,
+    series_at_codes,
+    series_fixed_word,
+    series_over_prefixes,
+)
+from solenoidlab.words import SystemParams, Word, max_level
+
+TOL_ULPS = 256
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+ORDERS = st.integers(0, 2)
+POINTS = st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False)
+#: Largest enumeration checked word by word: b^n <= 64.
+MAX_POINTS = 64
+
+
+def tol(p: SystemParams, k: int) -> float:
+    return TOL_ULPS * np.finfo(float).eps * sup_norm(p.phi, k) / (1.0 - p.gamma * p.b ** (-k))
+
+
+def oracle(p: SystemParams, x: float, word: Word, k: int = 0) -> float:
+    return eval_S_deriv(p, float(x), word, k).value
+
+
+@st.composite
+def systems(draw):
+    b = draw(st.sampled_from([2, 3, 4]))
+    gamma = draw(st.floats(0.05, 0.95))
+    degree = draw(st.integers(0, 3))
+    coef = st.integers(-8, 8).map(lambda v: v / 8)
+    cos = draw(st.lists(coef, min_size=degree + 1, max_size=degree + 1))
+    sin = [0.0] + draw(st.lists(coef, min_size=degree, max_size=degree))
+    return SystemParams(b, gamma, PeriodicFn(tuple(cos), tuple(sin)))
+
+
+def digits(b: int, max_size: int):
+    return st.lists(st.integers(0, b - 1), max_size=max_size).map(tuple)
+
+
+@SETTINGS
+@given(st.data())
+def test_fixed_word_matches_oracle(data):
+    p, k = data.draw(systems()), data.draw(ORDERS)
+    xs = data.draw(st.lists(POINTS, min_size=1, max_size=4))
+    word = Word(data.draw(digits(p.b, 8)), p.b)
+    got = series_fixed_word(p, np.array(xs), word.digits, order=k)
+    for x, g in zip(xs, got):
+        assert abs(g - oracle(p, x, word, k)) <= tol(p, k)
+
+
+@SETTINGS
+@given(st.data())
+def test_prefixes_with_suffix_match_oracle(data):
+    p, k, x = data.draw(systems()), data.draw(ORDERS), data.draw(POINTS)
+    n = data.draw(st.integers(0, max_level(p.b, MAX_POINTS)))
+    suffix = Word(data.draw(digits(p.b, 4)), p.b)
+    got = series_over_prefixes(p, x, n, suffix=suffix.digits, order=k)
+    assert len(got) == p.b**n
+    for code, g in enumerate(got):
+        word = Word.from_code(code, n, p.b).concat(suffix)
+        assert abs(g - oracle(p, x, word, k)) <= tol(p, k)
+
+
+@SETTINGS
+@given(st.data())
+def test_codes_with_suffix_match_oracle(data):
+    p, k, x = data.draw(systems()), data.draw(ORDERS), data.draw(POINTS)
+    n = data.draw(st.integers(0, max_level(p.b, MAX_POINTS)))
+    codes = data.draw(st.lists(st.integers(0, p.b**n - 1), min_size=1, max_size=8))
+    suffix = Word(data.draw(digits(p.b, 4)), p.b)
+    got = series_at_codes(p, x, n, np.array(codes), suffix=suffix.digits, order=k)
+    for code, g in zip(codes, got):
+        word = Word.from_code(code, n, p.b).concat(suffix)
+        assert abs(g - oracle(p, x, word, k)) <= tol(p, k)
+
+
+@SETTINGS
+@given(st.data())
+def test_chunked_enumeration_matches_oracle(data):
+    p, x = data.draw(systems()), data.draw(POINTS)
+    depth = data.draw(st.integers(1, 6))
+    cap = data.draw(st.integers(p.b ** (depth // 2), p.b**depth))
+    chunks = list(iter_series_all_words(p, x, depth, chunk_cap=cap))
+    size = len(chunks[0])
+    assert all(len(c) == size for c in chunks)
+    assert size * len(chunks) == p.b**depth
+    # each chunk is the largest power of b within the cap
+    assert size <= cap and (len(chunks) == 1 or size * p.b > cap)
+    vals = np.concatenate(chunks)
+    for code in data.draw(st.lists(st.integers(0, p.b**depth - 1), min_size=1, max_size=6)):
+        word = Word.from_code(code, depth, p.b)
+        assert abs(vals[code] - oracle(p, x, word)) <= tol(p, 0)
+
+
+@SETTINGS
+@given(st.data())
+def test_random_tails_match_oracle_on_replayed_digits(data):
+    p = data.draw(systems())
+    pts = data.draw(st.lists(POINTS, min_size=1, max_size=3))
+    per = data.draw(st.integers(1, 4))
+    depth = data.draw(st.integers(0, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    replay = copy.deepcopy(rng)
+    got = random_tail_series(p, np.array(pts), depth, per, rng)
+    assert got.shape == (len(pts), per)
+    rows = [replay.integers(0, p.b, size=len(pts) * per) for _ in range(depth)]
+    assert rng.bit_generator.state == replay.bit_generator.state
+    for i, g in enumerate(got.reshape(-1)):
+        word = Word(tuple(int(r[i]) for r in rows), p.b)
+        assert abs(g - oracle(p, pts[i // per], word)) <= tol(p, 0)

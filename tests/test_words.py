@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from solenoidlab.periodic import PeriodicFn
-from solenoidlab.words import SystemParams, Word, nhat, sample_words, word_point
+from solenoidlab.words import SystemParams, Word, max_level, nhat, sample_words, word_point
 
 
 def test_word_point_examples():
@@ -68,6 +68,29 @@ def test_system_params_validation_and_depth():
         SystemParams(2, 1.0, PeriodicFn.cosine())
     with pytest.raises(ValueError):
         SystemParams(2, 0.4, PeriodicFn.cosine(), truncation_tol=0.0)
+
+
+def test_truncation_depth_cap_raises():
+    p = SystemParams(2, 0.999, PeriodicFn.cosine())
+    with pytest.raises(ValueError, match=r"gamma=0\.999.*truncation_tol=1e-09.*16\.6"):
+        p.truncation_depth
+    # the last depth the cap allows is still returned
+    assert SystemParams(2, 0.99, PeriodicFn.cosine()).truncation_depth < 4096
+
+
+def test_max_level_is_exact_at_powers():
+    assert max_level(3, 3**10) == 10
+    assert max_level(3, 3**10 - 1) == 9
+    assert max_level(2, 1) == 0 and max_level(7, 6) == 0
+    assert max_level(10, 10**15) == 15
+
+
+def test_max_level_keeps_the_fixed_caps():
+    # the exact-index caps 2^23, 2^30 and 2^45 give the levels the float
+    # formula gave for every base up to 999
+    for b in range(2, 1000):
+        for bits in (23, 30, 45):
+            assert max_level(b, 2**bits) == int(bits / math.log2(b)), (b, bits)
 
 
 def test_sample_words_empty_and_deterministic():
