@@ -314,8 +314,17 @@ def run_experiment(cfg: RunConfig) -> dict[str, dict]:
     results: dict[str, dict] = {}
     for name in cfg.experiments:
         folder = Path(cfg.outdir) / name
+        created = [p for p in (folder, *folder.parents) if not p.exists()]
         folder.mkdir(parents=True, exist_ok=True)
-        summary = EXPERIMENTS[name](cfg, folder)
+        try:
+            summary = EXPERIMENTS[name](cfg, folder)
+        except BaseException:
+            # an experiment that fails before writing leaves no empty folders
+            for p in created:
+                if any(p.iterdir()):
+                    break
+                p.rmdir()
+            raise
         summary = {
             **summary,
             "experiment": name,

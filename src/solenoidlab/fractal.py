@@ -3,12 +3,19 @@
 Box counting uses the same b-adic lattice as the entropy engine: at level l
 the plane is cut into squares of side b^-l anchored at the origin, and the
 estimate is the least-squares slope of log_b(occupied squares) against the
-level.  Point clouds are streamed into an occupancy set at the finest level
-and coarsened by integer division, so memory scales with the number of
-occupied boxes.  Graphs of continuous functions get the exact column fill:
-within one column the graph meets every box between the column minimum and
-maximum, so per-column min/max of a dense sample yields the box count
-without rasterizing segments.
+level.  Point clouds are streamed in chunks: each chunk's finest-level boxes
+are packed into int64 keys (ix << 32) ^ (iy + 2^31), sorted and deduplicated,
+and the sorted run is merged into a sorted table of occupied keys.  Coarser
+levels divide the indices and deduplicate again, so memory scales with the
+number of occupied boxes, never with the extent of the lattice.  The packing
+is exact only while both indices lie in [-2^31, 2^31).  The level cap
+b^lmax <= 2^30 keeps coordinates in [-2, 2) inside that range; a chunk whose
+indices fall outside it raises instead of colliding silently.
+
+Graphs of continuous functions get the exact column fill: within one column
+the graph meets every box between the column minimum and maximum, so
+per-column min/max of a dense sample yields the box count without
+rasterizing segments.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .dynamics import attractor_points
 from .entropy import fit_line
-from .measures import bin_index
+from .measures import bin_index, sorted_unique
 from .periodic import PeriodicFn, eval as phi_eval, sup_norm
 from .words import SystemParams, max_level
 
@@ -110,10 +117,27 @@ def _fit(levels, counts, b) -> BoxCountResult:
     )
 
 
+_HALF = 1 << 31
+
+
+def _pack(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    return (ix << 32) ^ (iy + _HALF)
+
+
 def _occupied_keys(xb: np.ndarray, yb: np.ndarray, level: int, b: int) -> np.ndarray:
+    """Sorted distinct packed keys of the level-``level`` boxes hit by a chunk."""
     ix = bin_index(xb, b, level)
     iy = bin_index(yb, b, level)
-    return np.unique((ix << 32) ^ (iy + (1 << 31)))
+    if len(ix) == 0:
+        return ix
+    lo, hi = min(ix.min(), iy.min()), max(ix.max(), iy.max())
+    if lo < -_HALF or hi >= _HALF:
+        raise ValueError(
+            f"box indices at level {level} span x in [{ix.min()}, {ix.max()}], "
+            f"y in [{iy.min()}, {iy.max()}]; packed box keys need both in "
+            f"[-2^31, 2^31)"
+        )
+    return sorted_unique(_pack(ix, iy))
 
 
 def box_count_dimension(
@@ -138,18 +162,22 @@ def box_count_dimension(
         chunks: Iterable = [(pts[:, 0], pts[:, 1])]
     else:
         chunks = points
-    keys = None
+    keys = np.empty(0, dtype=np.int64)
     for xb, yb in chunks:
         k = _occupied_keys(np.asarray(xb, dtype=float), np.asarray(yb, dtype=float), lmax, b)
-        keys = k if keys is None else np.union1d(keys, k)
-    if keys is None or len(keys) == 0:
+        keys = sorted_unique(np.concatenate([keys, k]), kind="stable")
+    if len(keys) == 0:
         raise ValueError("no points supplied")
-    ix = keys >> 32
-    iy = (keys ^ (ix << 32)) - (1 << 31)
     counts = []
-    for lev in levels:
-        f = b ** (lmax - lev)
-        counts.append(len(np.unique(((ix // f) << 32) ^ ((iy // f) + (1 << 31)))))
+    at = lmax
+    for lev in reversed(levels):
+        if lev < at:
+            f = b ** (at - lev)
+            ix = keys >> 32
+            iy = (keys & 0xFFFFFFFF) - _HALF
+            keys, at = sorted_unique(_pack(ix // f, iy // f)), lev
+        counts.append(len(keys))
+    counts.reverse()
     if counts[0] < 2:
         raise ValueError("points span fewer than 2 cells at the coarsest level")
     return _fit(levels, counts, b)

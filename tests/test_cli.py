@@ -139,3 +139,14 @@ def test_non_integral_budgets_rejected_at_the_edge(tmp_path, capsys):
     argv = ["dichotomy-check", "--outdir", str(tmp_path), "--budget", "x_grid=0"]
     assert main(argv) == 2
     assert "x_grid" in capsys.readouterr().err
+
+
+def test_failed_experiment_leaves_no_empty_folder(tmp_path):
+    outdir = tmp_path / "out"
+    argv = ["dichotomy-check", "--outdir", str(outdir), "--budget", "word_depth=1.5"]
+    assert main(argv) == 2
+    assert not outdir.exists()
+    assert main(["dichotomy-check", "--outdir", str(outdir)]) == 0
+    argv = ["decomposition-check", "--outdir", str(outdir), "--budget", "decomp_n=1.5"]
+    assert main(argv) == 2
+    assert sorted(p.name for p in outdir.iterdir()) == ["dichotomy-check"]

@@ -56,6 +56,18 @@ def test_box_count_rejections():
         box_count_dimension(np.random.default_rng(1).random((100, 2)), [4, 5])
 
 
+def test_box_count_rejects_indices_outside_packed_keys():
+    # At level 30, iy = 2.5 * 2^30 >= 2^31 carries into the x bits of its
+    # packed key and hits the second point's key: three far-apart points
+    # would count as (2, 2, 2).  With |y| = 1.4 both indices fit.
+    pts = np.array([[0, 2.5], [1.5 * 2**-30, -1.5], [0.9, 0.9]])
+    with pytest.raises(ValueError, match=r"level 30 .*2684354560"):
+        box_count_dimension(pts, [28, 29, 30])
+    pts[1, 1] = -1.4
+    pts[0, 1] = 1.4
+    assert box_count_dimension(pts, [28, 29, 30]).counts == (3, 3, 3)
+
+
 def test_box_count_lipschitz_graph_at_most_one():
     xs = (np.arange(2**14) + 0.5) / 2**14
     ys = 0.3 * np.sin(2 * math.pi * xs) + 0.1 * xs
