@@ -57,6 +57,8 @@ class RunConfig:
         for k, v in self.budgets.items():
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"budget {k} must be numeric")
+            if not math.isfinite(v):
+                raise ValueError(f"budget {k} must be finite, got {v!r}")
             if v <= 0:
                 raise ValueError(f"budget {k} must be positive")
 
@@ -349,7 +351,13 @@ def _parse_budget_overrides(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"budget override must look like name=value: {pair!r}")
         k, v = pair.split("=", 1)
-        out[k] = float(v) if "." in v or "e" in v.lower() else int(v)
+        try:
+            out[k] = int(v)
+        except ValueError:
+            try:
+                out[k] = float(v)
+            except ValueError:
+                raise ValueError(f"budget {k} must be numeric, got {v!r}") from None
     return out
 
 

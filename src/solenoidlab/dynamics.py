@@ -4,15 +4,15 @@ The map is (x, y) -> (b x mod 1, gamma y + phi(x)).  In double precision the
 base map consumes log2(b) mantissa bits of x per step, so a raw orbit turns
 into deterministic garbage after ~52/log2(b) steps.  The sampler therefore
 re-randomizes the low-order bits of x on a fixed cadence: every
-``reseed_every`` steps it adds a seeded uniform perturbation of size
-``reseed_scale``.  Lebesgue measure is invariant for the base map, so the
+``RESEED_EVERY`` steps it adds a seeded uniform perturbation of size
+``RESEED_SCALE``.  Lebesgue measure is invariant for the base map, so the
 x-statistics are unaffected; the y-recursion always uses the realized x, and
 the perturbation enters y only through phi with weight <= sup|phi'| *
-reseed_scale ~ 1e-7, far below any histogram cell used here.  The default
-cadence (24 steps at scale 2^-26) keeps the float mantissa covered at every
-step for b = 2; for b >= 3 rounding noise already provides mixing and the
-injection merely makes it seeded.  Set ``reseed_every=0`` to switch the
-policy off.
+RESEED_SCALE ~ 1e-7, far below any histogram cell used here.  The cadence
+(24 steps at scale 2^-26) keeps the float mantissa covered at every step for
+b = 2; for b >= 3 rounding noise already provides mixing and the injection
+merely makes it seeded.  The ensemble sampler ``attractor_points`` always
+reseeds; ``iterate_T(..., reseed_every=0)`` follows one raw orbit without it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from .words import SystemParams
 
 RESEED_EVERY = 24
 RESEED_SCALE = 2.0**-26
+
+#: attractor_points: chains run in lockstep, burn-in steps, steps per block.
+_CHAINS, _BURN_IN, _BLOCK_STEPS = 4096, 256, 32
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ def iterate_T(
     n_keep: int,
     seed: int = 0,
     reseed_every: int = RESEED_EVERY,
-    reseed_scale: float = RESEED_SCALE,
 ) -> OrbitSample:
     """Forward orbit of a single point; points[k] = T^(n_burn + k)(z0)."""
     if n_keep < 1:
@@ -71,7 +73,7 @@ def iterate_T(
         if k >= n_burn:
             pts[k - n_burn] = (x, y)
         if reseed_every and step % reseed_every == 0 and step > 0:
-            x = (x + rng.random() * reseed_scale) % 1.0
+            x = (x + rng.random() * RESEED_SCALE) % 1.0
         y = gam * y + phi_eval(params.phi, x)
         x = (b * x) % 1.0
         step += 1
@@ -82,42 +84,37 @@ def attractor_points(
     params: SystemParams,
     n_points: int,
     seed: int = 0,
-    n_chains: int = 4096,
-    burn_in: int = 256,
-    steps_per_block: int = 32,
-    reseed_every: int = RESEED_EVERY,
-    reseed_scale: float = RESEED_SCALE,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream attractor samples as (x_block, y_block) chunks.
 
     Runs an ensemble of chains in lockstep and yields their points in blocks
-    of n_chains * steps_per_block until n_points have been produced.
+    of _CHAINS * _BLOCK_STEPS until n_points have been produced.
     Deterministic for fixed arguments.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
     b, gam = params.b, params.gamma
-    x = rng.random(n_chains)
-    y = np.zeros(n_chains)
+    x = rng.random(_CHAINS)
+    y = np.zeros(_CHAINS)
     step = 0
 
     def advance():
         nonlocal x, y, step
-        if reseed_every and step % reseed_every == 0 and step > 0:
-            x = (x + rng.random(n_chains) * reseed_scale) % 1.0
+        if step % RESEED_EVERY == 0 and step > 0:
+            x = (x + rng.random(_CHAINS) * RESEED_SCALE) % 1.0
         y = gam * y + phi_eval(params.phi, x)
         x = (b * x) % 1.0
         step += 1
 
-    for _ in range(burn_in):
+    for _ in range(_BURN_IN):
         advance()
 
     produced = 0
-    xs = np.empty((steps_per_block, n_chains))
-    ys = np.empty((steps_per_block, n_chains))
+    xs = np.empty((_BLOCK_STEPS, _CHAINS))
+    ys = np.empty((_BLOCK_STEPS, _CHAINS))
     while produced < n_points:
-        for i in range(steps_per_block):
+        for i in range(_BLOCK_STEPS):
             xs[i] = x
             ys[i] = y
             advance()

@@ -240,8 +240,8 @@ def weierstrass_graph(
 ) -> WeierstrassGraph:
     """Sample the graph of sum_n lam^n psi(b^n x) on [0, 1).
 
-    The series is truncated once lam^n sup|psi| drops below tol; the
-    predicted graph dimension is 2 + log(lam) / log(b).
+    The series is truncated once lam^n sup|psi| drops below tol (raising past
+    512 terms); the predicted graph dimension is 2 + log(lam) / log(b).
     """
     if b < 2:
         raise ValueError("b must be an integer >= 2")
@@ -250,7 +250,12 @@ def weierstrass_graph(
     m = sup_norm(psi, 0)
     terms = 1
     amp = lam * m
-    while amp > tol and terms < 512:
+    while amp > tol:
+        if terms == 512:
+            raise ValueError(
+                f"lambda={lam} needs more than 512 terms to reach tol={tol}: the dropped "
+                f"tail at 512 terms is {amp / (1.0 - lam):.3g}"
+            )
         amp *= lam
         terms += 1
     xs = (np.arange(resolution) + 0.5) / resolution

@@ -3,12 +3,14 @@
 A measure lives at a fixed level n: mass sits on cells [j/b^n, (j+1)/b^n),
 stored as a sorted table of int64 cell indices with positive weights that
 sum to one.  Levels are capped so that index arithmetic stays exact in
-float64 (b^level <= 2^45).  All builders accumulate per-chunk histograms and
-merge them associatively.  Exact builders are therefore independent of chunk
-scheduling; sampled builders are deterministic for a fixed seed, but their
-random streams are drawn in chunks whose size is fixed by a module constant
-(``_CHUNK`` here, ``DEFAULT_CHUNK_CAP`` for ``partitions.measure_B``), so
-changing that constant changes the samples.
+float64 (b^level <= 2^45).  ``_merge_cells`` is the one rule that merges
+(index, weight) tables: it adds each cell's weights in stream order, so exact
+builders, which merge chunk by chunk, are independent of chunk scheduling.
+``WORK_BUDGET`` caps the b^depth words an exact build enumerates and
+``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once.
+Sampled builders are deterministic for a fixed seed, but their chunk sizes
+(``_CHUNK`` samples here, a DEFAULT_CHUNK_CAP batch in ``measure_B``) fix the
+random streams; a larger ``_CHUNK`` would also raise peak memory.
 
 Affine images deposit each source cell's mass at the image of the cell
 midpoint; the induced atom displacement is at most |a| b^(-level) / 2 and is
@@ -70,21 +72,25 @@ def cell_of(value: float, b: int, level: int) -> BAdicCell:
     return BAdicCell(b, level, int(bin_index(value, b, level)))
 
 
+def _merge_cells(idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct indices of an (index, weight) table and the summed
+    weight of each, added in stream order (``np.add.at`` keeps that order)."""
+    u, inv = np.unique(idx, return_inverse=True)
+    acc = np.zeros(len(u))
+    np.add.at(acc, inv, w)
+    return u, acc
+
+
 class _Hist:
     """Associative accumulator of (index, weight) tables."""
 
     def __init__(self):
-        self.idx: np.ndarray | None = None
-        self.w: np.ndarray | None = None
+        self.idx = np.empty(0, dtype=np.int64)
+        self.w = np.empty(0)
 
     def add(self, idx: np.ndarray, w: np.ndarray) -> None:
-        if self.idx is not None:
-            idx = np.concatenate([self.idx, idx])
-            w = np.concatenate([self.w, w])
-        u, inv = np.unique(idx, return_inverse=True)
-        acc = np.zeros(len(u))
-        np.add.at(acc, inv, w)
-        self.idx, self.w = u, acc
+        idx, w = np.concatenate([self.idx, idx]), np.concatenate([self.w, w])
+        self.idx, self.w = _merge_cells(idx, w)
 
 
 @dataclass(frozen=True)
@@ -106,13 +112,7 @@ class DiscreteMeasure:
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if not np.all(np.diff(idx) > 0):
-            order = np.argsort(idx, kind="stable")
-            idx, w = idx[order], w[order]
-            if np.any(np.diff(idx) == 0):
-                u, inv = np.unique(idx, return_inverse=True)
-                acc = np.zeros(len(u))
-                np.add.at(acc, inv, w)
-                idx, w = u, acc
+            idx, w = _merge_cells(idx, w)
         keep = w > 0
         idx, w = idx[keep], w[keep]
         total = w.sum()
@@ -242,7 +242,6 @@ def build_mx_exact(
     x: float,
     level: int,
     depth: int,
-    work_budget: int = WORK_BUDGET,
 ) -> DiscreteMeasure:
     """Exact enumeration of all b^depth words with uniform weights.
 
@@ -252,8 +251,8 @@ def build_mx_exact(
     _check_level(params.b, level)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if params.b**depth > work_budget:
-        raise ValueError(f"b^depth = {params.b**depth} exceeds the work budget {work_budget}")
+    if params.b**depth > WORK_BUDGET:
+        raise ValueError(f"b^depth = {params.b**depth} exceeds the work budget {WORK_BUDGET}")
     hist = _Hist()
     total = params.b**depth
     for block in iter_series_all_words(params, x, depth):
@@ -363,7 +362,6 @@ def self_similarity_residual(
     n: int,
     depth: int,
     level: int,
-    work_budget: int = WORK_BUDGET,
 ) -> SelfSimilarityReport:
     """TV distance between the depth-enumerated fiber measure and its
     depth-(n, depth-n) decomposition into affine images over length-n words.
@@ -375,18 +373,14 @@ def self_similarity_residual(
     """
     if not 0 <= n < depth:
         raise ValueError("need 0 <= n < depth")
-    if params.b**depth > work_budget:
-        raise ValueError("depth exceeds work budget")
-    lhs = build_mx_exact(params, x, level, depth, work_budget)
+    lhs = build_mx_exact(params, x, level, depth)
     lgb = math.log(1.0 / params.gamma) / math.log(params.b)
     inner_level = min(level + math.ceil((depth - n) * lgb), params.max_bin_level())
     gn = params.gamma**n
     parts = []
     for code in range(params.b**n):
         w = Word.from_code(code, n, params.b)
-        inner = build_mx_exact(
-            params, (x + code) / float(params.b**n), inner_level, depth - n, work_budget
-        )
+        inner = build_mx_exact(params, (x + code) / float(params.b**n), inner_level, depth - n)
         shift = eval_S(params, x, w).value
         parts.append((params.b ** (-n), pushforward_affine(inner, gn, shift, level)))
     rhs = mix(parts)

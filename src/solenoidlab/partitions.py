@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -32,8 +31,6 @@ from .series import (
     series_over_prefixes,
 )
 from .words import SystemParams, Word, max_level, nhat, word_point
-
-ENUM_BUDGET = 1 << 20
 
 
 def _log_contraction(params: SystemParams) -> float:
@@ -109,24 +106,20 @@ class WordMeasure:
     def word_length(self) -> int:
         return self.prefix_len + len(self.suffix)
 
-    def words(self) -> Iterator[tuple[Word, float]]:
-        for code, w in zip(self.codes, self.weights):
-            yield Word.from_code(int(code), self.prefix_len, self.params.b).concat(self.suffix), float(w)
-
     def is_full_range(self) -> bool:
         n = self.params.b**self.prefix_len
         return len(self.codes) == n and self.codes[0] == 0 and self.codes[-1] == n - 1
 
 
-def theta_measure(params: SystemParams, a: Word, n: int, budget: int = ENUM_BUDGET) -> WordMeasure:
+def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
     """Uniform measure on {w . a : w in Lambda^(nhat - t)}, t = |a|."""
     t = len(a)
     nh = nhat(n, params.b, params.gamma)
     if nh <= t:
         raise ValueError("matched scale nhat must exceed the suffix length")
     count = params.b ** (nh - t)
-    if count > budget:
-        raise ValueError("suffix-class enumeration exceeds the budget")
+    if count > DEFAULT_CHUNK_CAP:
+        raise ValueError("suffix-class enumeration exceeds the materialization cap")
     codes = np.arange(count, dtype=np.int64)
     return WordMeasure(params, nh - t, a, codes, np.full(count, 1.0 / count))
 
@@ -226,7 +219,7 @@ def decomposition_check(
     n_atoms = 0
     for u_code in range(b**t):
         u = Word.from_code(u_code, t, b)
-        theta = theta_measure(params, u, n, budget=budget)
+        theta = theta_measure(params, u, n)
         for v_code in range(b**t):
             v = Word.from_code(v_code, t, b)
             for q_code in range(b ** (ih - t)):
@@ -291,7 +284,6 @@ def theta_entropy_table(
     cert: TransversalityCertificate,
     n_list,
     C: float,
-    budget: int = ENUM_BUDGET,
 ) -> list[ThetaEntropyRow]:
     """Normalized key-partition entropies of the suffix-class measures.
 
@@ -304,7 +296,7 @@ def theta_entropy_table(
     lgb = _log_contraction(params)
     rows = []
     for n in sorted(int(v) for v in n_list):
-        theta = theta_measure(params, cert.a, n, budget=budget)
+        theta = theta_measure(params, cert.a, n)
         nh = theta.prefix_len + t
         s3 = _series_over_support(params, theta, (), cert.x0)
         full_codes = theta.codes + params.b**theta.prefix_len * cert.a.code()

@@ -18,7 +18,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: Highest derivative order served by eval_deriv / sup_norm by default.
+#: Highest derivative order eval_deriv serves.
 MAX_DERIV_ORDER = 8
 
 
@@ -147,15 +147,15 @@ def eval(f: PeriodicFn, x) -> float | np.ndarray:  # noqa: A001 - spec operation
     return eval_deriv(f, x, 0)
 
 
-def eval_deriv(f: PeriodicFn, x, order: int, max_order: int = MAX_DERIV_ORDER):
+def eval_deriv(f: PeriodicFn, x, order: int):
     """Evaluate the order-th derivative of f at x.
 
-    order 0 equals plain evaluation.  Orders above ``max_order`` are
+    order 0 equals plain evaluation.  Orders above ``MAX_DERIV_ORDER`` are
     rejected: sup-norm growth (2 pi k)^order makes very high orders useless
     in double precision.
     """
-    if order < 0 or order > max_order:
-        raise ValueError(f"derivative order {order} outside [0, {max_order}]")
+    if order < 0 or order > MAX_DERIV_ORDER:
+        raise ValueError(f"derivative order {order} outside [0, {MAX_DERIV_ORDER}]")
     xa = np.asarray(x, dtype=float)
     frac = xa - np.floor(xa)
     a, b = _deriv_coeffs(f, order)

@@ -24,24 +24,33 @@ from .words import SystemParams, Word, max_level, nhat
 #: A generic irrational base point used wherever one representative x is needed.
 GENERIC_BASE_POINT = math.sqrt(2.0) - 1.0
 
+#: Most words of one length a scan visits (sampled suffixes, transversality prefixes).
+WORD_CAP = 4096
+
 
 # ---------------------------------------------------------------------------
 # value-set gaps
 # ---------------------------------------------------------------------------
 
-def min_gap(params: SystemParams, x: float, w: Word, n: int, max_enum: int = DEFAULT_CHUNK_CAP) -> float:
+def _min_gaps(params: SystemParams, x: float, prefix_len: int, suffix_rows) -> np.ndarray:
+    """Minimum gap of {S(x, j w) : j in Lambda^prefix_len} for each suffix w.
+
+    Digit rows of shape (r, 1) hold r suffixes and give r gaps; scalar rows
+    give one.  The prefix tile is built once for all of them.
+    """
+    vals = np.sort(series_over_prefixes(params, x, prefix_len, suffix=suffix_rows), axis=-1)
+    return np.diff(vals, axis=-1).min(axis=-1).reshape(-1)
+
+
+def min_gap(params: SystemParams, x: float, w: Word, n: int) -> float:
     """Minimum pairwise distance of {S(x, j w) : j in Lambda^(n - |w|)}.
 
     Exact finite-word evaluation; enumeration is sorted so the result does
     not depend on word order.
     """
-    ell = len(w)
-    if n <= ell:
+    if n <= len(w):
         raise ValueError("n must exceed the suffix length")
-    if params.b ** (n - ell) > max_enum:
-        raise ValueError("enumeration exceeds the scan budget")
-    vals = np.sort(series_over_prefixes(params, x, n - ell, suffix=w.digits))
-    return float(np.diff(vals).min())
+    return float(_min_gaps(params, x, n - len(w), w.digits)[0])
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,6 @@ def exp_separation_scan(
     ell: int,
     epsilon: float,
     n_list,
-    word_budget: int = 4096,
     seed: int = 0,
 ) -> SeparationScan:
     """Scan exponential separation: scale n passes when every suffix w of
@@ -82,30 +90,31 @@ def exp_separation_scan(
 
     Value sets are indexed by the matched scale nhat(n), so the threshold and
     the inspected set live at the same scale.  epsilon_max is the largest
-    epsilon for which every scanned n would pass.
+    epsilon for which every scanned n would pass.  When b^ell exceeds
+    WORD_CAP, WORD_CAP suffixes are sampled under the seed.
     """
     n_list = sorted(int(v) for v in n_list)
     b = params.b
-    if b**ell <= word_budget:
-        suffix_codes = range(b**ell)
-        sampled = False
-    else:
-        rng = np.random.default_rng(seed)
-        suffix_codes = sorted(int(v) for v in rng.integers(0, b**ell, word_budget))
-        sampled = True
+    sampled = b**ell > WORD_CAP
+    rng = np.random.default_rng(seed)
+    codes = np.sort(rng.integers(0, b**ell, WORD_CAP)) if sampled else np.arange(b**ell)
     rows = []
     for n in n_list:
         nh = nhat(n, b, params.gamma)
+        if rows and rows[-1][1] == nh:  # nhat is monotone in n: reuse the row of this scale
+            rows.append((n, *rows[-1][1:]))
+            continue
         if nh <= ell:
             rows.append((n, nh, math.inf, epsilon**nh, ""))
             continue
-        gmin, wmin = math.inf, ""
-        for code in suffix_codes:
-            w = Word.from_code(code, ell, b)
-            g = min_gap(params, x, w, nh)
-            if g < gmin:
-                gmin, wmin = g, w.to_string()
-        rows.append((n, nh, gmin, epsilon**nh, wmin))
+        batch = max(1, DEFAULT_CHUNK_CAP // b ** (nh - ell))  # suffixes per call, by value count
+        gaps = np.concatenate([
+            _min_gaps(params, x, nh - ell, [(c // b**i % b)[:, None] for i in range(ell)])
+            for c in np.split(codes, range(batch, len(codes), batch))
+        ])
+        k = int(np.argmin(gaps))  # the first minimal suffix, as worst word
+        worst = Word.from_code(int(codes[k]), ell, b).to_string()
+        rows.append((n, nh, float(gaps[k]), epsilon**nh, worst))
     passing = tuple(n for n, nh, g, thr, _ in rows if g > thr)
     finite = [(g, nh) for _, nh, g, _, _ in rows if math.isfinite(g)]
     if any(g <= 0 for g, _ in finite):
@@ -301,7 +310,7 @@ def transversality_search(
     phi2 = sup_norm(params.phi, 2)
     b, gam = params.b, params.gamma
     for t in sorted(int(v) for v in t_list):
-        if b**t > 4096:
+        if b**t > WORD_CAP:
             raise ValueError("prefix budget b^t too large")
         points = max(8, grid_size // b**t)
         slack_pair = 2.0 * (gam / b) ** t * phi1 / (1.0 - gam / b)

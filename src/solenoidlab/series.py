@@ -22,7 +22,9 @@ only in where the digits come from: a fixed word (``series_fixed_word``), the
 digits of explicit codes (``series_at_codes``), a common suffix or the high
 digits of an enumeration chunk, appended to prefix word points
 (``series_over_prefixes``, ``iter_series_all_words``), or seeded uniform rows
-(``random_tail_series``).
+(``random_tail_series``).  Digit rows broadcast against tau: suffix rows given
+as columns of shape (r, 1) make ``series_over_prefixes`` return one row of
+values per suffix, all appended to one prefix tile.
 
 Enumerating all prefixes of a length uses the tile recursion instead: the
 word points of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1},
@@ -144,7 +146,8 @@ def series_over_prefixes(
 ) -> np.ndarray:
     """S^(order)(x, j . suffix) for every j in Lambda^prefix_len, code order.
 
-    Materializes b^prefix_len values; guarded by DEFAULT_CHUNK_CAP.
+    Materializes b^prefix_len values per suffix row; b^prefix_len is guarded by
+    DEFAULT_CHUNK_CAP.
     """
     b = params.b
     if b**prefix_len > DEFAULT_CHUNK_CAP:

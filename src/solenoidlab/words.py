@@ -72,19 +72,12 @@ class Word:
             raise ValueError("base mismatch")
         return Word(self.digits + other.digits, self.b)
 
-    def repeat(self, times: int) -> "Word":
-        return Word(self.digits * times, self.b)
 
-
-def word_point(w: Word, x: float, b: int | None = None) -> float:
+def word_point(w: Word, x: float) -> float:
     """Map a word and base point to (x + code(w)) / b^len(w), in [0, 1]."""
-    if b is None:
-        b = w.b
-    elif b != w.b:
-        raise ValueError("base mismatch")
     if len(w) < 1:
         return float(x)
-    return (x + w.code()) / float(b ** len(w))
+    return (x + w.code()) / float(w.b ** len(w))
 
 
 def nhat(n: int, b: int, gamma: float) -> int:
@@ -157,9 +150,6 @@ class SystemParams:
         of the) word series after ``depth`` evaluated digits."""
         r = self.gamma / self.b**order
         return sup_norm(self.phi, order) * r**depth * self.b ** (-order) / (1.0 - r)
-
-    def word(self, digits) -> Word:
-        return Word(tuple(digits), self.b)
 
     def max_bin_level(self) -> int:
         """Deepest b-adic level whose cell indices stay exact in float64."""

@@ -141,6 +141,30 @@ def test_non_integral_budgets_rejected_at_the_edge(tmp_path, capsys):
     assert "x_grid" in capsys.readouterr().err
 
 
+def test_non_finite_budgets_rejected_at_the_edge(tmp_path, capsys):
+    doc = {
+        "system": {"b": 2, "gamma": 0.4, "phi": [[1, 1, 0]]},
+        "experiments": ["porosity"],
+        "budgets": {"porosity_eps": float("nan")},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+    assert "porosity_eps" in capsys.readouterr().err
+    for value in ("nan", "inf", "abc"):
+        argv = ["separation-scan", "--outdir", str(tmp_path / "out")]
+        argv += ["--budget", f"epsilon={value}"]
+        assert main(argv) == 2
+        assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_weierstrass_term_cap_exits_2(tmp_path, capsys):
+    argv = ["weierstrass", "--outdir", str(tmp_path / "out"), "--budget", "weierstrass_lambda=0.99"]
+    assert main(argv) == 2
+    assert "lambda=0.99" in capsys.readouterr().err
+
+
 def test_failed_experiment_leaves_no_empty_folder(tmp_path):
     outdir = tmp_path / "out"
     argv = ["dichotomy-check", "--outdir", str(outdir), "--budget", "word_depth=1.5"]

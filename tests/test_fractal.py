@@ -152,6 +152,12 @@ def test_weierstrass_truncation_tail_below_tol():
     assert 0.5**g.terms / (1 - 0.5) <= tol * 10
 
 
+def test_weierstrass_term_cap_raises():
+    # 512 terms leave a tail of 0.99^512 / (1 - 0.99) ~ 0.58 against tol 1e-8
+    with pytest.raises(ValueError, match=r"lambda=0\.99.*tol=1e-08.*0\.58"):
+        weierstrass_graph(COS, 0.99, 2, 64)
+
+
 def test_weierstrass_box_count_moderate_scale():
     g = weierstrass_graph(COS, 0.5, 3, 3**8 * 64)
     res = box_count_graph(g.xs, g.ys, range(4, 9), b=3)

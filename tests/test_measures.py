@@ -83,7 +83,7 @@ def test_empirical_matches_exact_within_binomial_error():
 def test_budget_and_level_guards():
     p = params()
     with pytest.raises(ValueError):
-        build_mx_exact(p, 0.3, 6, 40, work_budget=10**6)
+        build_mx_exact(p, 0.3, 6, 40)
     with pytest.raises(ValueError):
         build_mx_exact(p, 0.3, 50, 10)
     with pytest.raises(ValueError):

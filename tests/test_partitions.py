@@ -77,9 +77,9 @@ def test_theta_support_and_mass():
     assert nhat(10, 2, 0.4) == 8
     assert len(th.codes) == 2 ** (8 - 4)
     assert th.weights.sum() == pytest.approx(1.0)
-    words = list(th.words())
-    assert all(w.digits[-4:] == a4.digits for w, _ in words)
-    assert len({w.to_string() for w, _ in words}) == 16
+    words = [Word.from_code(int(c), th.prefix_len, 2).concat(th.suffix) for c in th.codes]
+    assert all(w.digits[-4:] == a4.digits for w in words)
+    assert len({w.to_string() for w in words}) == 16
 
 
 def test_theta_minimal_case_and_guards():
@@ -91,7 +91,7 @@ def test_theta_minimal_case_and_guards():
     with pytest.raises(ValueError):
         theta_measure(p, Word((1,) * 8, 2), 10)  # nhat == t
     with pytest.raises(ValueError):
-        theta_measure(p, Word((1,), 2), 40, budget=1 << 10)
+        theta_measure(p, Word((1,), 2), 40)
 
 
 # ---------------------------------------------------------------- measure_A

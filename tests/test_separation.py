@@ -52,7 +52,7 @@ def test_min_gap_guards():
     with pytest.raises(ValueError):
         min_gap(p, 0.3, Word((1, 0, 1), 2), 3)
     with pytest.raises(ValueError):
-        min_gap(p, 0.3, Word.empty(2), 30, max_enum=2**10)
+        min_gap(p, 0.3, Word.empty(2), 30)
 
 
 # --------------------------------------------------------------------- scan
