@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import attractor_points
+from .dynamics import attractor_points  # noqa: F401 - perfbench/layers.py wraps this name
 from .entropy import dimension_estimate, porosity_fraction
 from .fractal import (
     attractor_box_count,
@@ -40,7 +40,8 @@ from .separation import (
     exp_separation_scan,
     transversality_search,
 )
-from .words import SystemParams, max_level
+from .series import DEFAULT_CHUNK_CAP
+from .words import SystemParams, max_level, nhat
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,11 @@ def _exp_theta_entropy(cfg: RunConfig, folder: Path) -> dict:
     if cert is None:
         return {"certificate": "none found", "t": t}
     (folder / "certificate.json").write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
-    scan = exp_separation_scan(p, cert.x0, t, 0.25, range(8, 15), seed=cfg.seed)
+    scan_ns = [n for n in range(8, 15) if p.b ** (nhat(n, p.b, p.gamma) - t) <= DEFAULT_CHUNK_CAP]
+    if not scan_ns:
+        raise ValueError(f"theta-entropy: no separation scale n in 8..14 has "
+                         f"b^(nhat(n) - t) within the materialization cap {DEFAULT_CHUNK_CAP}")
+    scan = exp_separation_scan(p, cert.x0, t, 0.25, scan_ns, seed=cfg.seed)
     C = separation_exponent(scan, p.b)
     n_lo, n_hi = _budget(cfg, "theta_n_min", 16), _budget(cfg, "theta_n_max", 24)
     rows = theta_entropy_table(p, cert, range(n_lo, n_hi + 1, 2), C)

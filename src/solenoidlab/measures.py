@@ -8,9 +8,11 @@ float64 (b^level <= 2^45).  ``_merge_cells`` is the one rule that merges
 builders, which merge chunk by chunk, are independent of chunk scheduling.
 ``WORK_BUDGET`` caps the b^depth words an exact build enumerates and
 ``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once.
-Sampled builders are deterministic for a fixed seed, but their chunk sizes
-(``_CHUNK`` samples here, a DEFAULT_CHUNK_CAP batch in ``measure_B``) fix the
-random streams; a larger ``_CHUNK`` would also raise peak memory.
+``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
+is its one-head case; ``partitions.measure_B`` passes one head per word).
+One chunk rule fixes every sampled stream: heads go in groups of
+max(1, _CHUNK // samples) and each group's samples are drawn _CHUNK at a
+time; a larger ``_CHUNK`` would change the streams and raise peak memory.
 
 Affine images deposit each source cell's mass at the image of the cell
 midpoint; the induced atom displacement is at most |a| b^(-level) / 2 and is
@@ -212,6 +214,36 @@ def _check_level(b: int, level: int) -> None:
 # fiber-measure builders
 # ---------------------------------------------------------------------------
 
+def tail_sampled_measure(
+    params: SystemParams,
+    heads: np.ndarray,
+    tips: np.ndarray,
+    contraction: float,
+    samples: int,
+    level: int,
+    rng: np.random.Generator,
+) -> DiscreteMeasure:
+    """Histogram of heads[i] + contraction * S(tips[i], tail) over ``samples``
+    seeded i.i.d. tails per head, tails at the system truncation depth and
+    every sample of weight one."""
+    _check_level(params.b, level)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    heads = np.asarray(heads, dtype=float)
+    tips = np.asarray(tips, dtype=float)
+    depth = params.truncation_depth
+    group = max(1, _CHUNK // samples)
+    hist = _Hist()
+    for start in range(0, len(heads), group):
+        sl = slice(start, start + group)
+        for done in range(0, samples, _CHUNK):
+            vals = random_tail_series(params, tips[sl], depth, min(_CHUNK, samples - done), rng)
+            vals *= contraction
+            vals += heads[sl, None]
+            hist.add(bin_index(vals.reshape(-1), params.b, level), np.full(vals.size, 1.0))
+    return DiscreteMeasure(params.b, level, hist.idx, hist.w)
+
+
 def build_mx_empirical(
     params: SystemParams,
     x: float,
@@ -219,22 +251,10 @@ def build_mx_empirical(
     n_samples: int,
     seed: int,
 ) -> DiscreteMeasure:
-    """Histogram of the word series over i.i.d. uniform words.
-
-    Words are truncated at the system truncation depth; sampling is streamed
-    in fixed chunks so the result is reproducible for a given seed.
-    """
-    _check_level(params.b, level)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    """Histogram of the word series over i.i.d. uniform words, truncated at
+    the system truncation depth: the one-head tail-sampled measure."""
     rng = np.random.default_rng(seed)
-    depth = params.truncation_depth
-    hist = _Hist()
-    for done in range(0, n_samples, _CHUNK):
-        m = min(_CHUNK, n_samples - done)
-        vals = random_tail_series(params, [x], depth, m, rng)
-        hist.add(bin_index(vals.reshape(-1), params.b, level), np.full(m, 1.0))
-    return DiscreteMeasure(params.b, level, hist.idx, hist.w)
+    return tail_sampled_measure(params, [0.0], [x], 1.0, n_samples, level, rng)
 
 
 def build_mx_exact(
@@ -277,25 +297,26 @@ def pushforward_affine(mu: DiscreteMeasure, a: float, c: float, out_level: int) 
     return DiscreteMeasure.from_values(mu.b, out_level, values, mu.weights)
 
 
-def mix(components: list[tuple[float, DiscreteMeasure]]) -> DiscreteMeasure:
-    """Weighted superposition of measures on a common lattice."""
-    if not components:
-        raise ValueError("need at least one component")
-    ws = np.array([w for w, _ in components], dtype=float)
-    if np.any(ws < 0):
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(ws.sum() - 1.0) > 1e-9:
-        raise ValueError("mixture weights must sum to 1")
-    b = components[0][1].b
-    level = components[0][1].level
-    for _, m in components:
-        if m.b != b or m.level != level:
-            raise ValueError("components must share base and level")
+def mix(components) -> DiscreteMeasure:
+    """Weighted superposition of measures on a common lattice, merged in one
+    pass over any iterable of (weight, measure) pairs."""
     hist = _Hist()
+    first = None
+    total = 0.0
     for w, m in components:
+        first = m if first is None else first
+        if m.b != first.b or m.level != first.level:
+            raise ValueError("components must share base and level")
+        if w < 0:
+            raise ValueError("mixture weights must be nonnegative")
+        total += w
         if w > 0:
             hist.add(m.indices, w * m.weights)
-    return DiscreteMeasure(b, level, hist.idx, hist.w)
+    if first is None:
+        raise ValueError("need at least one component")
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError("mixture weights must sum to 1")
+    return DiscreteMeasure(first.b, first.level, hist.idx, hist.w)
 
 
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int) -> DiscreteMeasure:

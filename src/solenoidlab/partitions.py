@@ -7,6 +7,8 @@ which length-m words resolve.  At n = 0 the probe cells are dropped.  These
 keys realize a refining sequence of partitions of word space; uniform
 measures on suffix classes, their atom images on the line, and the induced
 decomposition of the fiber measure are computed against them.
+Word measures are uniform blocks: the uniform measure on Lambda^p . suffix,
+whose series values come from one prefix tile.
 
 Binning levels are clipped to the exact-index cap (b^level <= 2^45); at the
 scales scanned here the clipped cells are still several orders coarser than
@@ -20,13 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _Hist, bin_index, build_mx_exact, total_variation
+from .measures import (
+    DiscreteMeasure,
+    bin_index,
+    build_mx_exact,
+    mix,
+    tail_sampled_measure,
+    total_variation,
+)
 from .separation import GENERIC_BASE_POINT, SeparationScan, TransversalityCertificate
 from .series import (
     DEFAULT_CHUNK_CAP,
     eval_S,
-    random_tail_series,
-    series_at_codes,
+    random_tail_series,  # noqa: F401 - perfbench/layers.py wraps this name
+    series_at_codes,  # noqa: F401 - perfbench/layers.py wraps this name
     series_fixed_word,
     series_over_prefixes,
 )
@@ -81,34 +90,39 @@ def partition_key(
 
 @dataclass(frozen=True)
 class WordMeasure:
-    """Weighted words of the form (prefix . suffix) with a common suffix."""
+    """Uniform measure on the words j . suffix, j in Lambda^prefix_len."""
 
     params: SystemParams
     prefix_len: int
     suffix: Word
-    codes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        w = np.asarray(self.weights, dtype=float)
-        if codes.shape != w.shape:
-            raise ValueError("codes and weights must be aligned")
-        if np.any(w < 0) or not w.sum() > 0:
-            raise ValueError("weights must be nonnegative with positive mass")
-        w = w / w.sum()
-        codes.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "weights", w)
 
     @property
     def word_length(self) -> int:
         return self.prefix_len + len(self.suffix)
 
-    def is_full_range(self) -> bool:
-        n = self.params.b**self.prefix_len
-        return len(self.codes) == n and self.codes[0] == 0 and self.codes[-1] == n - 1
+    @property
+    def codes(self) -> np.ndarray:
+        """Codes of the prefixes j, in code order."""
+        return np.arange(self.params.b**self.prefix_len, dtype=np.int64)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Uniform, divided by their float sum as measure tables are."""
+        count = self.params.b**self.prefix_len
+        w = np.full(count, 1.0 / count)
+        return w / w.sum()
+
+    def series(self, x0: float, extra: Word) -> np.ndarray:
+        """S(x0, j . suffix . extra) over the support, exact, in code order."""
+        return series_over_prefixes(
+            self.params, x0, self.prefix_len, suffix=self.suffix.digits + extra.digits
+        )
+
+    def word_points(self, x0: float, extra: Word) -> np.ndarray:
+        """Word points over x0 of j . suffix . extra, in code order."""
+        tail = self.suffix.concat(extra)
+        codes = self.codes + self.params.b**self.prefix_len * tail.code()
+        return (x0 + codes) / float(self.params.b) ** (self.prefix_len + len(tail))
 
 
 def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
@@ -117,27 +131,16 @@ def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
     nh = nhat(n, params.b, params.gamma)
     if nh <= t:
         raise ValueError("matched scale nhat must exceed the suffix length")
-    count = params.b ** (nh - t)
-    if count > DEFAULT_CHUNK_CAP:
+    if params.b ** (nh - t) > DEFAULT_CHUNK_CAP:
         raise ValueError("suffix-class enumeration exceeds the materialization cap")
-    codes = np.arange(count, dtype=np.int64)
-    return WordMeasure(params, nh - t, a, codes, np.full(count, 1.0 / count))
-
-
-def _series_over_support(params: SystemParams, xi: WordMeasure, extra: tuple, x0: float) -> np.ndarray:
-    """S(x0, w . extra) over the support of xi, exact finite evaluation."""
-    suffix = xi.suffix.digits + tuple(extra)
-    if xi.is_full_range():
-        return series_over_prefixes(params, x0, xi.prefix_len, suffix=suffix)
-    return series_at_codes(params, x0, xi.prefix_len, xi.codes, suffix=suffix)
+    return WordMeasure(params, nh - t, a)
 
 
 def measure_A(
     params: SystemParams, xi: WordMeasure, u: Word, x0: float, level: int
 ) -> DiscreteMeasure:
     """Atoms at S(x0, w u) with the weights of xi, binned at the level."""
-    vals = _series_over_support(params, xi, u.digits, x0)
-    return DiscreteMeasure.from_values(params.b, level, vals, xi.weights)
+    return DiscreteMeasure.from_values(params.b, level, xi.series(x0, u), xi.weights)
 
 
 def measure_B(
@@ -151,24 +154,11 @@ def measure_B(
 ) -> DiscreteMeasure:
     """Distribution of S(x0, w q j) with w ~ xi and seeded i.i.d. digit tails,
     truncated at the system truncation depth."""
-    if tail_samples < 1:
-        raise ValueError("tail_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    head_vals = _series_over_support(params, xi, q.digits, x0)
-    head_len = xi.word_length + len(q)
-    full_codes = xi.codes + params.b**xi.prefix_len * xi.suffix.concat(q).code()
-    base_pts = (x0 + full_codes) / float(params.b) ** head_len
-    contraction = params.gamma**head_len
-    depth_tail = params.truncation_depth
-    hist = _Hist()
-    rows = max(1, DEFAULT_CHUNK_CAP // tail_samples)
-    for start in range(0, len(head_vals), rows):
-        sl = slice(start, start + rows)
-        tails = random_tail_series(params, base_pts[sl], depth_tail, tail_samples, rng)
-        vals = head_vals[sl][:, None] + contraction * tails
-        ws = np.repeat(xi.weights[sl] / tail_samples, tail_samples)
-        hist.add(bin_index(vals.reshape(-1), params.b, level), ws)
-    return DiscreteMeasure(params.b, level, hist.idx, hist.w)
+    contraction = params.gamma ** (xi.word_length + len(q))
+    return tail_sampled_measure(
+        params, xi.series(x0, q), xi.word_points(x0, q), contraction, tail_samples, level, rng
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +182,19 @@ def decomposition_check(
     level: int,
     budget: int = 1 << 16,
     seed: int = 0,
-    x0: float = GENERIC_BASE_POINT,
-    t: int = 2,
     tail_samples: int = 4,
 ) -> DecompositionReport:
-    """TV distance between the exactly enumerated fiber measure and its
-    double mixture over suffix classes and connector words.
+    """TV distance between the exactly enumerated fiber measure at the
+    generic base point and its double mixture over suffix classes and
+    connector words.
 
-    The mixture runs over all pairs (u, v) of length-t words and all
-    connectors q of length i_hat - t, each contributing a tail-sampled
+    The mixture runs over all pairs (u, v) of length-2 words and all
+    connectors q of length i_hat - 2, each contributing a tail-sampled
     series distribution; the reported budget combines both truncation tails
     and a multinomial sampling estimate.
     """
     b = params.b
+    x0, t = GENERIC_BASE_POINT, 2
     nh = nhat(n, b, params.gamma)
     ih = nhat(i_level, b, params.gamma)
     if nh <= t or ih <= t:
@@ -213,25 +203,23 @@ def decomposition_check(
         raise ValueError("word enumeration exceeds the budget")
     depth_lhs = min(params.truncation_depth, max_level(b, 2**23) + 1)
     lhs = build_mx_exact(params, x0, level, depth_lhs)
-    hist = _Hist()
-    outer = 1.0 / b ** (2 * t)
-    inner = 1.0 / b ** (ih - t)
-    n_atoms = 0
-    for u_code in range(b**t):
-        u = Word.from_code(u_code, t, b)
-        theta = theta_measure(params, u, n)
-        for v_code in range(b**t):
-            v = Word.from_code(v_code, t, b)
-            for q_code in range(b ** (ih - t)):
-                q = v.concat(Word.from_code(q_code, ih - t, b))
-                sub = measure_B(
-                    params, theta, q, x0, tail_samples,
-                    seed + ((u_code * b**t + v_code) << 20) + q_code, level,
-                )
-                hist.add(sub.indices, outer * inner * sub.weights)
-                n_atoms += len(theta.codes) * tail_samples
-    rhs = DiscreteMeasure(b, level, hist.idx, hist.w)
+
+    def parts():
+        for u_code in range(b**t):
+            theta = theta_measure(params, Word.from_code(u_code, t, b), n)
+            for v_code in range(b**t):
+                v = Word.from_code(v_code, t, b)
+                for q_code in range(b ** (ih - t)):
+                    q = v.concat(Word.from_code(q_code, ih - t, b))
+                    sub = measure_B(
+                        params, theta, q, x0, tail_samples,
+                        seed + ((u_code * b**t + v_code) << 20) + q_code, level,
+                    )
+                    yield 1.0 / b ** (2 * t) * (1.0 / b ** (ih - t)), sub
+
+    rhs = mix(parts())
     residual = total_variation(lhs, rhs)
+    n_atoms = b ** (nh + ih) * tail_samples
     tail_terms = params.tail_bound(depth_lhs) + params.gamma ** (nh + ih) * params.tail_bound(
         params.truncation_depth
     )
@@ -298,9 +286,8 @@ def theta_entropy_table(
     for n in sorted(int(v) for v in n_list):
         theta = theta_measure(params, cert.a, n)
         nh = theta.prefix_len + t
-        s3 = _series_over_support(params, theta, (), cert.x0)
-        full_codes = theta.codes + params.b**theta.prefix_len * cert.a.code()
-        base = (cert.x0 + full_codes) / float(params.b) ** nh
+        s3 = theta.series(cert.x0, Word.empty(params.b))
+        base = theta.word_points(cert.x0, Word.empty(params.b))
         s1 = series_fixed_word(params, base, cert.h.digits)
         s2 = series_fixed_word(params, base, cert.h_prime.digits)
         lev_c = _clip_level(params, int(nh * lgb))

@@ -12,7 +12,7 @@ argument mod 1 first, so periodicity holds structurally in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -254,7 +254,7 @@ class TransversalityCertificate:
     min_pair_gap: float
 
     def to_dict(self) -> dict:
-        """All fields, words as digit strings; round-trips for replay."""
+        """All fields, words as digit strings, for replay."""
         return {
             "t": self.t,
             "delta1": self.delta1,
@@ -269,22 +269,6 @@ class TransversalityCertificate:
             "b": self.h.b,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TransversalityCertificate":
-        b = int(doc["b"])
-        return cls(
-            t=int(doc["t"]),
-            delta1=float(doc["delta1"]),
-            h=Word.from_string(doc["h"], b),
-            h_prime=Word.from_string(doc["h_prime"], b),
-            a=Word.from_string(doc["a"], b),
-            x0=float(doc["x0"]),
-            grid_size=int(doc["grid_size"]),
-            min_abs_h=float(doc["min_abs_h"]),
-            min_abs_h_prime=float(doc["min_abs_h_prime"]),
-            min_pair_gap=float(doc["min_pair_gap"]),
-        )
-
 
 def _grid_in_cell(a_code: int, t: int, b: int, points: int) -> np.ndarray:
     lo = a_code / float(b**t)
@@ -296,10 +280,10 @@ def transversality_search(
     params: SystemParams,
     t_list,
     grid_size: int = 1024,
-    x0: float = GENERIC_BASE_POINT,
 ) -> TransversalityCertificate | None:
     """Search prefix pairs and base cells for a certified derivative
-    transversality triple; None when no triple certifies.
+    transversality triple, recorded at the generic base point; None when no
+    triple certifies.
 
     Lower bounds over a base cell are grid minima minus a Lipschitz modulus
     (from the certified second-derivative sup-norm) minus the geometric
@@ -340,7 +324,7 @@ def transversality_search(
                             h=Word.from_code(h1, t, b),
                             h_prime=Word.from_code(h2, t, b),
                             a=Word.from_code(a_code, t, b),
-                            x0=float(x0),
+                            x0=GENERIC_BASE_POINT,
                             grid_size=points,
                             min_abs_h=mins[h1],
                             min_abs_h_prime=mins[h2],
@@ -349,12 +333,10 @@ def transversality_search(
     return best
 
 
-def validate_certificate(
-    params: SystemParams, cert: TransversalityCertificate, refine: int = 4
-) -> bool:
-    """Re-evaluate the certified quantities on a refine-times finer grid;
+def validate_certificate(params: SystemParams, cert: TransversalityCertificate) -> bool:
+    """Re-evaluate the certified quantities on a four times finer grid;
     every raw value must stay above delta1."""
-    points = cert.grid_size * refine
+    points = cert.grid_size * 4
     zs = _grid_in_cell(cert.a.code(), cert.t, params.b, points)
     dh = series_fixed_word(params, zs, cert.h.digits, order=1)
     dhp = series_fixed_word(params, zs, cert.h_prime.digits, order=1)

@@ -174,3 +174,19 @@ def test_failed_experiment_leaves_no_empty_folder(tmp_path):
     argv = ["decomposition-check", "--outdir", str(outdir), "--budget", "decomp_n=1.5"]
     assert main(argv) == 2
     assert sorted(p.name for p in outdir.iterdir()) == ["dichotomy-check"]
+
+
+def test_theta_entropy_scans_only_scales_within_the_cap(tmp_path, capsys):
+    def run(gamma, *budgets):
+        config = tmp_path / f"b3_{gamma}.json"
+        config.write_text(json.dumps({"system": {"b": 3, "gamma": gamma, "phi": [[1, 1.0, 0.0]]}}))
+        argv = ["theta-entropy", "--config", str(config), "--outdir", str(tmp_path / str(gamma))]
+        return main(argv + [arg for b in budgets for arg in ("--budget", b)])
+
+    # nhat(n) - 2 reaches 14 at n = 10 here: the scan keeps n = 8, 9
+    assert run(0.5, "theta_n_min=6", "theta_n_max=8") == 0
+    rows = (tmp_path / "0.5" / "theta-entropy" / "theta_entropy.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["6", "8"]
+    assert run(0.6) == 2
+    err = capsys.readouterr().err
+    assert "theta-entropy" in err and "materialization cap 4194304" in err

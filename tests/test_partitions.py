@@ -99,7 +99,7 @@ def test_theta_minimal_case_and_guards():
 def test_measure_A_single_word_dirac(cert):
     p = params()
     xi = theta_measure(p, cert.a, 6)
-    one = type(xi)(p, 0, xi.suffix, np.array([0]), np.array([1.0]))
+    one = type(xi)(p, 0, xi.suffix)
     mu = measure_A(p, one, Word((1, 0), 2), cert.x0, 10)
     assert len(mu.indices) == 1
     want = eval_S(p, cert.x0, xi.suffix.concat(Word((1, 0), 2))).value
@@ -142,7 +142,7 @@ def test_measure_B_zero_phi(cert):
 def test_measure_B_single_word_concentrates(cert):
     p = params()
     xi = theta_measure(p, cert.a, 6)
-    one = type(xi)(p, 0, xi.suffix, np.array([0]), np.array([1.0]))
+    one = type(xi)(p, 0, xi.suffix)
     q = Word((1, 0, 1), 2)
     mu = measure_B(p, one, q, cert.x0, tail_samples=16, seed=2, level=12)
     head_len = len(xi.suffix) + len(q)

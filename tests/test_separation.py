@@ -163,7 +163,7 @@ def test_transversality_cosine_certificate():
     assert cert is not None
     assert cert.delta1 > 0
     assert cert.h != cert.h_prime
-    assert validate_certificate(p, cert, refine=4)
+    assert validate_certificate(p, cert)
 
 
 def test_transversality_small_prefix_certificate():
