@@ -8,12 +8,11 @@ and runs numeric scans for degeneracy, exponential separation, entropy
 porosity, transversality, and partition entropy limits.
 """
 
-from .dynamics import OrbitSample, attractor_points, iterate_T
+from .dynamics import attractor_points
 from .entropy import (
     EntropyProfile,
     GrowthRecord,
     PorosityReport,
-    cond_entropy,
     dimension_estimate,
     entropy,
     entropy_growth_experiment,
@@ -32,12 +31,10 @@ from .fractal import (
 )
 from .measures import (
     BAdicCell,
-    ComponentMeasure,
     DiscreteMeasure,
     SelfSimilarityReport,
     build_mx_empirical,
     build_mx_exact,
-    cell_of,
     component,
     convolve,
     mix,
@@ -51,7 +48,6 @@ from .partitions import (
     ThetaEntropyRow,
     WordMeasure,
     decomposition_check,
-    measure_A,
     measure_B,
     partition_key,
     separation_exponent,
@@ -72,8 +68,8 @@ from .separation import (
     transversality_search,
     validate_certificate,
 )
-from .series import SeriesValue, cocycle_check, eval_S, eval_S_deriv
-from .words import SystemParams, Word, nhat, sample_words, word_point
+from .series import cocycle_check, eval_S, eval_S_deriv
+from .words import SystemParams, Word, nhat, word_point
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

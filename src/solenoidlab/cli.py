@@ -213,7 +213,6 @@ def _exp_theta_entropy(cfg: RunConfig, folder: Path) -> dict:
     cert = transversality_search(p, [t], grid_size=_budget(cfg, "grid_size", 1024))
     if cert is None:
         return {"certificate": "none found", "t": t}
-    (folder / "certificate.json").write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
     scan_ns = [n for n in range(8, 15) if p.b ** (nhat(n, p.b, p.gamma) - t) <= DEFAULT_CHUNK_CAP]
     if not scan_ns:
         raise ValueError(f"theta-entropy: no separation scale n in 8..14 has "
@@ -222,6 +221,7 @@ def _exp_theta_entropy(cfg: RunConfig, folder: Path) -> dict:
     C = separation_exponent(scan, p.b)
     n_lo, n_hi = _budget(cfg, "theta_n_min", 16), _budget(cfg, "theta_n_max", 24)
     rows = theta_entropy_table(p, cert, range(n_lo, n_hi + 1, 2), C)
+    (folder / "certificate.json").write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
     _write_rows(
         folder,
         "theta_entropy.csv",

@@ -11,13 +11,11 @@ the perturbation enters y only through phi with weight <= sup|phi'| *
 RESEED_SCALE ~ 1e-7, far below any histogram cell used here.  The cadence
 (24 steps at scale 2^-26) keeps the float mantissa covered at every step for
 b = 2; for b >= 3 rounding noise already provides mixing and the injection
-merely makes it seeded.  The ensemble sampler ``attractor_points`` always
-reseeds; ``iterate_T(..., reseed_every=0)`` follows one raw orbit without it.
+merely makes it seeded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -30,54 +28,6 @@ RESEED_SCALE = 2.0**-26
 
 #: attractor_points: chains run in lockstep, burn-in steps, steps per block.
 _CHAINS, _BURN_IN, _BLOCK_STEPS = 4096, 256, 32
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    """Forward orbit points (x_k, y_k), k = burn_in .. burn_in + n - 1."""
-
-    points: np.ndarray  # shape (n, 2)
-    burn_in: int
-    seed: int
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must have shape (n, 2)")
-        if np.any(pts[:, 0] < 0.0) or np.any(pts[:, 0] >= 1.0):
-            raise ValueError("x coordinates must lie in [0, 1)")
-        object.__setattr__(self, "points", pts)
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.points, delimiter=",", fmt="%.17g")
-
-
-def iterate_T(
-    params: SystemParams,
-    z0: tuple[float, float],
-    n_burn: int,
-    n_keep: int,
-    seed: int = 0,
-    reseed_every: int = RESEED_EVERY,
-) -> OrbitSample:
-    """Forward orbit of a single point; points[k] = T^(n_burn + k)(z0)."""
-    if n_keep < 1:
-        raise ValueError("n_keep must be >= 1")
-    rng = np.random.default_rng(seed)
-    b, gam = params.b, params.gamma
-    x = float(z0[0]) % 1.0
-    y = float(z0[1])
-    pts = np.empty((n_keep, 2))
-    step = 0
-    for k in range(n_burn + n_keep):
-        if k >= n_burn:
-            pts[k - n_burn] = (x, y)
-        if reseed_every and step % reseed_every == 0 and step > 0:
-            x = (x + rng.random() * RESEED_SCALE) % 1.0
-        y = gam * y + phi_eval(params.phi, x)
-        x = (b * x) % 1.0
-        step += 1
-    return OrbitSample(pts, n_burn, seed)
 
 
 def attractor_points(

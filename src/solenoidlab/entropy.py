@@ -33,14 +33,6 @@ def entropy(mu: DiscreteMeasure, level: int) -> float:
     return _entropy_of_weights(mu.coarsen(level).weights, mu.b)
 
 
-def cond_entropy(mu: DiscreteMeasure, fine_level: int, coarse_level: int) -> float:
-    """H(mu, fine | coarse) = H(mu, fine) - H(mu, coarse) for nested levels;
-    equals the mass-weighted average of component entropies."""
-    if fine_level < coarse_level:
-        raise ValueError("fine_level must be >= coarse_level")
-    return entropy(mu, fine_level) - entropy(mu, coarse_level)
-
-
 # ---------------------------------------------------------------------------
 # dimension estimation
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ is its one-head case; ``partitions.measure_B`` passes one head per word).
 One chunk rule fixes every sampled stream: heads go in groups of
 max(1, _CHUNK // samples) and each group's samples are drawn _CHUNK at a
 time; a larger ``_CHUNK`` would change the streams and raise peak memory.
+``component`` conditions a measure on one cell; it is the oracle of
+``entropy._component_entropies``, which takes the entropies of all the
+components at one level in one pass.
 
 Affine images deposit each source cell's mass at the image of the cell
 midpoint; the induced atom displacement is at most |a| b^(-level) / 2 and is
@@ -29,7 +32,7 @@ import numpy as np
 
 from .periodic import eval as phi_eval  # noqa: F401 - perfbench/layers.py wraps this name
 from .series import DEFAULT_CHUNK_CAP, eval_S, iter_series_all_words, random_tail_series
-from .words import SystemParams, Word, max_level
+from .words import BIN_CAP, SystemParams, Word, max_level
 
 WORK_BUDGET = 10**8
 _CHUNK = 1 << 20
@@ -42,10 +45,6 @@ class BAdicCell:
     b: int
     level: int
     index: int
-
-    def interval(self) -> tuple[float, float]:
-        w = float(self.b) ** (-self.level)
-        return self.index * w, (self.index + 1) * w
 
 
 def bin_index(values, b: int, level: int) -> np.ndarray:
@@ -68,10 +67,6 @@ def sorted_unique(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
     keep[0] = True
     np.not_equal(k[1:], k[:-1], out=keep[1:])
     return k[keep]
-
-
-def cell_of(value: float, b: int, level: int) -> BAdicCell:
-    return BAdicCell(b, level, int(bin_index(value, b, level)))
 
 
 def _merge_cells(idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,42 +166,11 @@ class DiscreteMeasure:
         f = self.b ** (self.level - level)
         return DiscreteMeasure(self.b, level, self.indices // f, self.weights)
 
-    def mass_in(self, cell: BAdicCell) -> float:
-        if cell.b != self.b or cell.level > self.level:
-            raise ValueError("cell must be a coarsening-compatible b-adic cell")
-        f = self.b ** (self.level - cell.level)
-        sel = self.indices // f == cell.index
-        return float(self.weights[sel].sum())
-
-    # ------------------------------------------------------------------ io
-    def to_csv(self, path) -> None:
-        rows = np.column_stack(
-            [np.full(len(self.indices), self.level), self.indices, self.weights]
-        )
-        np.savetxt(path, rows, delimiter=",", fmt=["%d", "%d", "%.17g"])
-
-    @classmethod
-    def from_csv(cls, path, b: int) -> "DiscreteMeasure":
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        levels = rows[:, 0].astype(int)
-        if len(set(levels.tolist())) != 1:
-            raise ValueError("measure table must use a single level")
-        return cls(b, int(levels[0]), rows[:, 1].astype(np.int64), rows[:, 2])
-
-
-@dataclass(frozen=True)
-class ComponentMeasure:
-    """A measure conditioned on one b-adic cell and renormalized."""
-
-    parent: DiscreteMeasure
-    cell: BAdicCell
-    measure: DiscreteMeasure
-
 
 def _check_level(b: int, level: int) -> None:
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if level > max_level(b, 2**45):
+    if level > max_level(b, BIN_CAP):
         raise ValueError(f"level {level} too deep for exact base-{b} cell indices")
 
 
@@ -336,7 +300,7 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int) -> Discre
     return DiscreteMeasure(mu.b, out_level, hist.idx, hist.w)
 
 
-def component(mu: DiscreteMeasure, cell: BAdicCell) -> ComponentMeasure:
+def component(mu: DiscreteMeasure, cell: BAdicCell) -> DiscreteMeasure:
     """Condition mu on a cell and renormalize."""
     if cell.b != mu.b:
         raise ValueError("base mismatch")
@@ -347,8 +311,7 @@ def component(mu: DiscreteMeasure, cell: BAdicCell) -> ComponentMeasure:
     mass = mu.weights[sel].sum()
     if not mass > 0:
         raise ValueError("cell carries no mass")
-    cond = DiscreteMeasure(mu.b, mu.level, mu.indices[sel], mu.weights[sel])
-    return ComponentMeasure(mu, cell, cond)
+    return DiscreteMeasure(mu.b, mu.level, mu.indices[sel], mu.weights[sel])
 
 
 def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -395,14 +358,15 @@ def self_similarity_residual(
     if not 0 <= n < depth:
         raise ValueError("need 0 <= n < depth")
     lhs = build_mx_exact(params, x, level, depth)
-    lgb = math.log(1.0 / params.gamma) / math.log(params.b)
-    inner_level = min(level + math.ceil((depth - n) * lgb), params.max_bin_level())
+    inner_level = min(
+        level + math.ceil((depth - n) * params.log_b_inv_gamma), params.max_bin_level()
+    )
     gn = params.gamma**n
     parts = []
     for code in range(params.b**n):
         w = Word.from_code(code, n, params.b)
         inner = build_mx_exact(params, (x + code) / float(params.b**n), inner_level, depth - n)
-        shift = eval_S(params, x, w).value
+        shift = eval_S(params, x, w)
         parts.append((params.b ** (-n), pushforward_affine(inner, gn, shift, level)))
     rhs = mix(parts)
     residual = total_variation(lhs, rhs)

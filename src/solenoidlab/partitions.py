@@ -5,8 +5,12 @@ words h, h' evaluated at the base point w(x0) (binned at level n), and the
 series value S(x0, w) binned at level n + [m log_b(1/gamma)] -- the scale at
 which length-m words resolve.  At n = 0 the probe cells are dropped.  These
 keys realize a refining sequence of partitions of word space; uniform
-measures on suffix classes, their atom images on the line, and the induced
-decomposition of the fiber measure are computed against them.
+measures on suffix classes and the induced decomposition of the fiber
+measure are computed against them.
+``partition_keys`` is the one key rule: it bins given series and probe
+values.  ``theta_entropy_table`` feeds it the bulk values of whole suffix
+classes; ``partition_key`` feeds it the scalar ``eval_S`` values of one word
+and so is the oracle of those bulk values.
 Word measures are uniform blocks: the uniform measure on Lambda^p . suffix,
 whose series values come from one prefix tile.
 
@@ -42,15 +46,6 @@ from .series import (
 from .words import SystemParams, Word, max_level, nhat, word_point
 
 
-def _log_contraction(params: SystemParams) -> float:
-    """log_b(1/gamma): levels per word digit at which series values resolve."""
-    return math.log(1.0 / params.gamma) / math.log(params.b)
-
-
-def _clip_level(params: SystemParams, level: int) -> int:
-    return max(0, min(level, params.max_bin_level()))
-
-
 # ---------------------------------------------------------------------------
 # partition keys
 # ---------------------------------------------------------------------------
@@ -65,23 +60,39 @@ class PartitionKey:
     cell3_level: int
 
 
+def partition_keys(
+    params: SystemParams, n: int, m: int, values: np.ndarray, probes
+) -> tuple[list[np.ndarray], int, int]:
+    """Key columns of m-letter words at partition level n, and their levels.
+
+    ``values`` holds the words' series values S(x0, w) and ``probes`` the two
+    probe series values at the words' base points.  The probe columns are
+    binned at lev12 = n and dropped at n = 0; the series column comes last,
+    binned at lev3 = n + [m log_b(1/gamma)].  Both levels are clipped to the
+    exact-index cap.  Returns (columns, lev12, lev3).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    top = params.max_bin_level()
+    lev12 = min(n, top)
+    lev3 = min(n + int(m * params.log_b_inv_gamma), top)
+    cols = [bin_index(v, params.b, lev12) for v in probes] if n else []
+    return cols + [bin_index(values, params.b, lev3)], lev12, lev3
+
+
 def partition_key(
     params: SystemParams, w: Word, n: int, x0: float, h: Word, h_prime: Word
 ) -> PartitionKey:
-    """Key of w in the level-n word partition anchored at x0 with probes h, h'."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    m = len(w)
-    lev3 = _clip_level(params, n + int(m * _log_contraction(params)))
-    s3 = eval_S(params, x0, w).value
-    cell3 = int(bin_index(s3, params.b, lev3))
-    if n == 0:
-        return PartitionKey(m, 0, None, None, cell3, lev3)
+    """Key of w in the level-n word partition anchored at x0 with probes h, h'.
+
+    Bins the scalar ``eval_S`` values of the one word by ``partition_keys``:
+    the oracle of the bulk series values behind ``theta_entropy_table``.
+    """
     base = word_point(w, x0)
-    lev12 = _clip_level(params, n)
-    c1 = int(bin_index(eval_S(params, base, h).value, params.b, lev12))
-    c2 = int(bin_index(eval_S(params, base, h_prime).value, params.b, lev12))
-    return PartitionKey(m, n, c1, c2, cell3, lev3)
+    probes = (eval_S(params, base, h), eval_S(params, base, h_prime))
+    cols, _, lev3 = partition_keys(params, n, len(w), eval_S(params, x0, w), probes)
+    c1, c2 = (int(c) for c in cols[:-1]) if n else (None, None)
+    return PartitionKey(len(w), n, c1, c2, int(cols[-1]), lev3)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +145,6 @@ def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
     if params.b ** (nh - t) > DEFAULT_CHUNK_CAP:
         raise ValueError("suffix-class enumeration exceeds the materialization cap")
     return WordMeasure(params, nh - t, a)
-
-
-def measure_A(
-    params: SystemParams, xi: WordMeasure, u: Word, x0: float, level: int
-) -> DiscreteMeasure:
-    """Atoms at S(x0, w u) with the weights of xi, binned at the level."""
-    return DiscreteMeasure.from_values(params.b, level, xi.series(x0, u), xi.weights)
 
 
 def measure_B(
@@ -267,6 +271,20 @@ def separation_exponent(scan: SeparationScan, b: int) -> float:
     return max(ratios)
 
 
+def _theta_keys(params: SystemParams, cert: TransversalityCertificate, n: int, C: float):
+    """The suffix-class measure of scale n with its key columns at partition
+    level 0 and at level max(1, round(C n)), each as (columns, lev12, lev3)."""
+    theta = theta_measure(params, cert.a, n)
+    empty = Word.empty(params.b)
+    values = theta.series(cert.x0, empty)
+    base = theta.word_points(cert.x0, empty)
+    probes = [series_fixed_word(params, base, w.digits) for w in (cert.h, cert.h_prime)]
+    m = theta.word_length
+    coarse = partition_keys(params, 0, m, values, probes)
+    fine = partition_keys(params, max(1, round(C * n)), m, values, probes)
+    return theta, coarse, fine
+
+
 def theta_entropy_table(
     params: SystemParams,
     cert: TransversalityCertificate,
@@ -280,34 +298,16 @@ def theta_entropy_table(
     distinct the fine value equals (nhat - t) / n exactly, the counting
     ceiling; collisions can only lower it.
     """
-    t = cert.t
-    lgb = _log_contraction(params)
     rows = []
     for n in sorted(int(v) for v in n_list):
-        theta = theta_measure(params, cert.a, n)
-        nh = theta.prefix_len + t
-        s3 = theta.series(cert.x0, Word.empty(params.b))
-        base = theta.word_points(cert.x0, Word.empty(params.b))
-        s1 = series_fixed_word(params, base, cert.h.digits)
-        s2 = series_fixed_word(params, base, cert.h_prime.digits)
-        lev_c = _clip_level(params, int(nh * lgb))
-        k3c = bin_index(s3, params.b, lev_c)
-        coarse = _entropy_of_key_rows([k3c], theta.weights, params.b) / n
-        lev_cn = _clip_level(params, max(1, round(C * n)))
-        lev3f = _clip_level(params, lev_cn + int(nh * lgb))
-        cols = [
-            bin_index(s1, params.b, lev_cn),
-            bin_index(s2, params.b, lev_cn),
-            bin_index(s3, params.b, lev3f),
-        ]
-        fine = _entropy_of_key_rows(cols, theta.weights, params.b) / n
+        theta, (coarse, _, lev_c), (fine, lev_cn, lev3f) = _theta_keys(params, cert, n, C)
         rows.append(
             ThetaEntropyRow(
                 n=n,
-                n_hat=nh,
+                n_hat=theta.word_length,
                 support=len(theta.codes),
-                coarse=coarse,
-                fine=fine,
+                coarse=_entropy_of_key_rows(coarse, theta.weights, params.b) / n,
+                fine=_entropy_of_key_rows(fine, theta.weights, params.b) / n,
                 coarse_level=lev_c,
                 fine_levels=(lev_cn, lev3f),
             )

@@ -150,20 +150,20 @@ class DerivativeSeparation:
 
 
 def derivative_separation(
-    params: SystemParams, x: float, i: Word, j: Word, qmax: int, tail=0
+    params: SystemParams, x: float, i: Word, j: Word, qmax: int
 ) -> DerivativeSeparation:
     """Largest derivative-order gap |S^(k)(x, i) - S^(k)(x, j)|, k <= qmax.
 
-    Both words are extended to the truncation depth by the tail policy.
+    Both words are extended with the digit 0 to the truncation depth.
     Ties prefer the smallest order.
     """
     if len(i) == 0 or len(j) == 0 or i.digits[0] == j.digits[0]:
         raise ValueError("words must differ in their first digit")
+    depth = params.truncation_depth
+    i, j = (Word(w.digits + (0,) * (depth - len(w)), w.b) for w in (i, j))
     vals = []
     for k in range(qmax + 1):
-        vi = eval_S_deriv(params, x, i, k, tail=tail).value
-        vj = eval_S_deriv(params, x, j, k, tail=tail).value
-        vals.append(abs(vi - vj))
+        vals.append(abs(eval_S_deriv(params, x, i, k) - eval_S_deriv(params, x, j, k)))
     arr = np.asarray(vals)
     k_best = int(np.argmax(arr))
     return DerivativeSeparation(k_best=k_best, value=float(arr[k_best]), per_order=tuple(vals))

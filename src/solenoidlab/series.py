@@ -10,10 +10,10 @@ and the series obeys the cocycle identity
 
     S(x, w i) = S(x, w) + gamma^{|w|} S(w(x), i).
 
-Order-k derivatives in x pick up an extra b^{-nk} per term.  Finite words are
-evaluated exactly; infinite words are truncated at the depth forced by the
-system's truncation tolerance, and every truncated value carries a certified
-tail bound.
+Order-k derivatives in x pick up an extra b^{-nk} per term.  ``eval_S_deriv``
+evaluates finite words exactly; an infinite word stands in as its prefix of
+the system's truncation depth, and ``SystemParams.tail_bound`` bounds the
+dropped tail.
 
 Every bulk evaluation runs one append kernel, ``_append_series``: from base
 points tau it applies tau <- (tau + d) / b per digit row d and adds
@@ -37,7 +37,7 @@ with the bulk path, so it serves as the reference oracle for the kernel.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -48,68 +48,34 @@ from .words import SystemParams, Word, max_level, word_point
 DEFAULT_CHUNK_CAP = 1 << 22
 
 
-class SeriesValue(NamedTuple):
-    value: float
-    tail_bound: float
+def eval_S(params: SystemParams, x: float, w: Word) -> float:
+    """Word series value of the finite word, exact."""
+    return eval_S_deriv(params, x, w, 0)
 
 
-def _resolve_tail(params: SystemParams, w: Word, tail, seed: int | None) -> tuple[Word, float]:
-    """Extend w per the tail policy; return (word to evaluate, tail bound).
-
-    tail=None evaluates the finite word exactly (bound 0).  An integer digit
-    extends with that constant digit to the truncation depth; "random"
-    extends with seeded i.i.d. digits.
-    """
-    if tail is None:
-        return w, 0.0
-    depth = max(len(w), params.truncation_depth)
-    extra = depth - len(w)
-    if isinstance(tail, (int, np.integer)):
-        ext = Word((int(tail),) * extra, params.b)
-    elif tail == "random":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        ext = Word(tuple(int(d) for d in rng.integers(0, params.b, extra)), params.b)
-    else:
-        raise ValueError(f"unknown tail policy: {tail!r}")
-    return w.concat(ext), depth
-
-
-def eval_S(params: SystemParams, x: float, w: Word, tail=None, seed: int | None = None) -> SeriesValue:
-    """Word series value, with a certified bound for the dropped tail."""
-    return eval_S_deriv(params, x, w, 0, tail=tail, seed=seed)
-
-
-def eval_S_deriv(
-    params: SystemParams, x: float, w: Word, order: int, tail=None, seed: int | None = None
-) -> SeriesValue:
-    """Order-th x-derivative of the word series.
-
-    Exact for the evaluated finite word; the bound covers the infinite tail
-    beyond the evaluated depth under any extension.
-    """
+def eval_S_deriv(params: SystemParams, x: float, w: Word, order: int) -> float:
+    """Order-th x-derivative of the word series of the finite word, exact."""
     if w.b != params.b:
         raise ValueError("word base does not match system base")
-    word, depth = _resolve_tail(params, w, tail, seed)
     b, gam = params.b, params.gamma
     tau = float(x)
     val = 0.0
     coef = float(b) ** (-order)
     step = gam * float(b) ** (-order)
-    for d in word.digits:
+    for d in w.digits:
         tau = (tau + d) / b
         val += coef * eval_deriv(params.phi, tau, order)
         coef *= step
-    bound = 0.0 if tail is None else params.tail_bound(depth, order)
-    return SeriesValue(val, bound)
+    return val
 
 
 def cocycle_check(params: SystemParams, x: float, w: Word, i: Word) -> float:
     """Residual |S(x, w i) - S(x, w) - gamma^|w| S(w(x), i)| on exact finite words."""
     if len(w) < 1:
         raise ValueError("w must be nonempty")
-    whole = eval_S(params, x, w.concat(i)).value
-    head = eval_S(params, x, w).value
-    tail_val = eval_S(params, word_point(w, x), i).value
+    whole = eval_S(params, x, w.concat(i))
+    head = eval_S(params, x, w)
+    tail_val = eval_S(params, word_point(w, x), i)
     return abs(whole - head - params.gamma ** len(w) * tail_val)
 
 

@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .periodic import PeriodicFn, sup_norm
+
+#: Largest b^level at which b-adic cell indices stay exact in float64.
+BIN_CAP = 2**45
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,19 @@ class SystemParams:
         r = self.gamma / self.b**order
         return sup_norm(self.phi, order) * r**depth * self.b ** (-order) / (1.0 - r)
 
+    @property
+    def log_b_inv_gamma(self) -> float:
+        """log_b(1/gamma): the b-adic levels one word digit resolves.
+
+        Computed from the float logarithms, not exactly: for b = 5 and
+        gamma = 0.2, a float just above 1/5, it gives 1.0, so int(m * it)
+        is m, one level above the exact floor for the float gamma.
+        """
+        return math.log(1.0 / self.gamma) / math.log(self.b)
+
     def max_bin_level(self) -> int:
         """Deepest b-adic level whose cell indices stay exact in float64."""
-        return max_level(self.b, 2**45)
+        return max_level(self.b, BIN_CAP)
 
 
 def max_level(b: int, limit) -> int:
@@ -162,15 +173,4 @@ def max_level(b: int, limit) -> int:
     while power <= limit:
         level, power = level + 1, power * b
     return level
-
-
-def sample_words(b: int, length: int, count: int, seed: int) -> list[Word]:
-    """i.i.d. uniform digit words, reproducible under the seed."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    if count == 0:
-        return []
-    mat = rng.integers(0, b, size=(count, length))
-    return [Word(tuple(int(v) for v in row), b) for row in mat]
 

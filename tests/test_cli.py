@@ -190,3 +190,13 @@ def test_theta_entropy_scans_only_scales_within_the_cap(tmp_path, capsys):
     assert run(0.6) == 2
     err = capsys.readouterr().err
     assert "theta-entropy" in err and "materialization cap 4194304" in err
+
+
+def test_failed_theta_entropy_leaves_no_partial_result(tmp_path):
+    # the transversality search certifies a triple here, but the separation
+    # scan that follows finds no scale within the materialization cap
+    config = tmp_path / "b3.json"
+    config.write_text(json.dumps({"system": {"b": 3, "gamma": 0.6, "phi": [[1, 1.0, 0.0]]}}))
+    outdir = tmp_path / "out"
+    assert main(["theta-entropy", "--config", str(config), "--outdir", str(outdir)]) == 2
+    assert not outdir.exists()

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solenoidlab.entropy import (
-    cond_entropy,
+    _component_entropies,
     dimension_estimate,
     entropy,
     entropy_growth_experiment,
     porosity_fraction,
 )
 from solenoidlab.measures import (
+    BAdicCell,
     DiscreteMeasure,
     build_mx_exact,
+    component,
     convolve,
     mix,
     pushforward_affine,
@@ -56,26 +60,34 @@ def test_entropy_level_guard():
         entropy(DiscreteMeasure.uniform_unit(2, 3), 4)
 
 
-def test_cond_entropy_cases():
-    rng = np.random.default_rng(1)
-    mu = rand_measure(rng)
-    assert cond_entropy(mu, 5, 5) == 0.0
-    uni = DiscreteMeasure.uniform_unit(2, 6)
-    assert cond_entropy(uni, 6, 0) == pytest.approx(6.0)
+#: Measures below have at most 64 atoms of weight >= 1/64000, so every sum
+#: of w log w runs over <= 64 terms of size <= 12 and rounds by well under
+#: 1e-12; the tolerances, fixed before running, leave a factor 100 over that.
+MASS_TOL, ENTROPY_TOL = 1e-12, 1e-10
 
 
-def test_cond_entropy_component_average_oracle():
-    rng = np.random.default_rng(2)
-    mu = rand_measure(rng, level=4, natoms=16)
-    fine, coarse = 4, 2
-    total = 0.0
-    coarse_mu = mu.coarsen(coarse)
-    from solenoidlab.measures import BAdicCell, component
-
-    for idx, w in zip(coarse_mu.indices, coarse_mu.weights):
-        comp = component(mu, BAdicCell(2, coarse, int(idx))).measure
-        total += w * entropy(comp, fine)
-    assert cond_entropy(mu, fine, coarse) == pytest.approx(total, abs=1e-10)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cond_entropy_component_average_oracle(data):
+    """_component_entropies against component + entropy cell by cell, and the
+    chain rule: sum of mass * H(component) = H(mu, i + m) - H(mu, i)."""
+    b = data.draw(st.sampled_from([2, 3]))
+    level = data.draw(st.integers(1, 6))
+    i = data.draw(st.integers(0, level - 1))
+    m = data.draw(st.integers(1, level - i))
+    cells = st.integers(-(b**level), b**level - 1)
+    idx = data.draw(st.lists(cells, min_size=1, max_size=64))
+    w = data.draw(st.lists(st.integers(1, 1000), min_size=len(idx), max_size=len(idx)))
+    mu = DiscreteMeasure.from_cells(b, level, idx, w)
+    masses, ents = _component_entropies(mu, i, m)
+    parents = mu.coarsen(i)
+    assert len(masses) == len(parents.indices)
+    for k, (cell, mass) in enumerate(zip(parents.indices, parents.weights)):
+        comp = component(mu, BAdicCell(b, i, int(cell)))
+        assert abs(masses[k] - mass) <= MASS_TOL
+        assert abs(ents[k] - entropy(comp, i + m)) <= ENTROPY_TOL
+    chain = entropy(mu, i + m) - entropy(mu, i)
+    assert abs(float(np.sum(masses * ents)) - chain) <= ENTROPY_TOL
 
 
 # ------------------------------------------------------- entropy inequalities
@@ -229,11 +241,9 @@ def test_growth_spread_theta_on_porous_tau_gains():
     fine = n + k
     mu = build_mx_exact(p, 0.37, fine, 12)
     # condition the fiber measure on one cell to meet the support precondition
-    from solenoidlab.measures import BAdicCell, component
-
     coarse = mu.coarsen(n)
     cell = int(coarse.indices[np.argmax(coarse.weights)])
-    tau = component(mu, BAdicCell(2, n, cell)).measure
+    tau = component(mu, BAdicCell(2, n, cell))
     theta = _uniform_on_cell(2, n, fine, cell * 2.0**-n)
     rec = entropy_growth_experiment(theta, tau, n, k)
     assert rec.H_conv / k > 0.2  # theta carries entropy

@@ -3,14 +3,33 @@
 An import no code in its module reads is dead, except where the benchmark's
 tracer wraps the name as that module binds it; such imports carry MARKER on
 their line, and the marked name must be one of the tracer's bindings.
+
+Likewise every function and class the package exports is read by the package
+or by the benchmark, or is listed in TEST_ONLY with the reason tests need it.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import solenoidlab
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "solenoidlab"
 MARKER = "# noqa: F401 - perfbench/layers.py wraps this name"
+
+#: Exported names that only tests call, each with the reason it stays.
+TEST_ONLY = {
+    "cocycle_check": "checks the cocycle identity of the series on exact words",
+    "cohomological_phi": "builds the degenerate system of acceptance criterion 2",
+    "component": "oracle of entropy._component_entropies",
+    "derivative_separation": "the derivative-separation scan over orders; no experiment runs it yet",
+    "entropy_growth_experiment": "the convolution entropy-growth record; no experiment runs it yet",
+    "min_gap": "oracle of the batched value-set gaps of separation.exp_separation_scan",
+    "partition_key": "oracle of the bulk key columns of partitions.theta_entropy_table",
+    "self_similarity_residual": "acceptance criterion 4",
+    "validate_certificate": "oracle re-check of transversality_search certificates on a finer grid",
+}
 
 
 def _bindings() -> set[tuple[str, str]]:
@@ -53,3 +72,31 @@ def test_module_imports_are_used_or_marked():
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"unused imports: {unused}"
     assert not unbound, f"marked imports that perfbench/layers.py does not wrap: {unbound}"
+
+
+def _read_names() -> set[str]:
+    """Names read in the package's modules and, also as attributes, in perfbench/."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            names |= {n.id for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Name)}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+    return names
+
+
+def test_exported_api_is_used_or_listed_as_test_only():
+    exported = {
+        name
+        for name in solenoidlab.__all__
+        if inspect.isfunction(getattr(solenoidlab, name)) or inspect.isclass(getattr(solenoidlab, name))
+    }
+    read = _read_names()
+    unlisted = sorted(exported - read - set(TEST_ONLY))
+    stale = sorted(name for name in TEST_ONLY if name not in exported or name in read)
+    assert not unlisted, f"exported names only tests call, missing from TEST_ONLY: {unlisted}"
+    assert not stale, f"TEST_ONLY entries that are not exported or are read in code: {stale}"

@@ -7,7 +7,6 @@ from solenoidlab.entropy import entropy
 from solenoidlab.measures import DiscreteMeasure, total_variation
 from solenoidlab.partitions import (
     decomposition_check,
-    measure_A,
     measure_B,
     partition_key,
     separation_exponent,
@@ -94,42 +93,6 @@ def test_theta_minimal_case_and_guards():
         theta_measure(p, Word((1,), 2), 40)
 
 
-# ---------------------------------------------------------------- measure_A
-
-def test_measure_A_single_word_dirac(cert):
-    p = params()
-    xi = theta_measure(p, cert.a, 6)
-    one = type(xi)(p, 0, xi.suffix)
-    mu = measure_A(p, one, Word((1, 0), 2), cert.x0, 10)
-    assert len(mu.indices) == 1
-    want = eval_S(p, cert.x0, xi.suffix.concat(Word((1, 0), 2))).value
-    assert abs(mu.midpoints()[0] - want) <= 2.0**-10
-
-
-def test_measure_A_zero_phi(cert):
-    p = params(phi=PeriodicFn.zero())
-    xi = theta_measure(p, cert.a, 8)
-    mu = measure_A(p, xi, Word((1,), 2), 0.3, 8)
-    assert len(mu.indices) == 1 and mu.indices[0] == 0
-
-
-def test_measure_A_matches_sampling_oracle(cert):
-    p = params()
-    xi = theta_measure(p, cert.a, 10)
-    u = Word((0, 1), 2)
-    level = 5
-    mu = measure_A(p, xi, u, cert.x0, level)
-    rng = np.random.default_rng(1)
-    n = 40000
-    picks = rng.integers(0, len(xi.codes), n)
-    vals = []
-    for code, cnt in zip(*np.unique(picks, return_counts=True)):
-        w = Word.from_code(int(xi.codes[code]), xi.prefix_len, 2).concat(xi.suffix).concat(u)
-        vals.extend([eval_S(p, cert.x0, w).value] * cnt)
-    mc = DiscreteMeasure.from_values(2, level, np.array(vals))
-    assert total_variation(mu, mc) < 0.02
-
-
 # ---------------------------------------------------------------- measure_B
 
 def test_measure_B_zero_phi(cert):
@@ -164,7 +127,7 @@ def test_measure_B_matches_direct_sampling(cert):
     for k in range(n):
         w = Word.from_code(int(codes[k]), xi.prefix_len, 2).concat(xi.suffix).concat(q)
         tail = Word(tuple(int(v) for v in rng.integers(0, 2, depth)), 2)
-        vals[k] = eval_S(p, cert.x0, w.concat(tail)).value
+        vals[k] = eval_S(p, cert.x0, w.concat(tail))
     mc = DiscreteMeasure.from_values(2, level, vals)
     assert total_variation(mu, mc) < 0.02
 

@@ -28,44 +28,39 @@ def rand_word(rng, b, n):
 
 def test_eval_S_zero_phi():
     p = params(phi=PeriodicFn.zero())
-    v = eval_S(p, 0.3, Word((1, 0, 1), 2))
-    assert v.value == 0.0 and v.tail_bound == 0.0
+    assert eval_S(p, 0.3, Word((1, 0, 1), 2)) == 0.0
 
 
 def test_eval_S_constant_phi_geometric_sum():
     c, gamma, m = 0.8, 0.35, 9
     p = params(gamma=gamma, phi=PeriodicFn.constant(c))
     w = Word((0,) * m, 2)
-    assert eval_S(p, 0.2, w).value == pytest.approx(c * (1 - gamma**m) / (1 - gamma))
+    assert eval_S(p, 0.2, w) == pytest.approx(c * (1 - gamma**m) / (1 - gamma))
 
 
 def test_eval_S_single_term():
     p = params()
-    assert eval_S(p, 0.0, Word((0,), 2)).value == pytest.approx(1.0)
+    assert eval_S(p, 0.0, Word((0,), 2)) == pytest.approx(1.0)
 
 
 def test_tail_extension_policies():
     p = params()
     w = Word((1, 0), 2)
-    v0 = eval_S(p, 0.4, w, tail=0)
-    v1 = eval_S(p, 0.4, w, tail=1)
-    vr = eval_S(p, 0.4, w, tail="random", seed=11)
     exact = eval_S(p, 0.4, w)
-    assert v0.tail_bound == pytest.approx(p.tail_bound(p.truncation_depth))
+    extra = p.truncation_depth - len(w)
+    rng = np.random.default_rng(11)
     # any extension stays within the exact finite value +- one full tail at |w|
-    for v in (v0, v1, vr):
-        assert abs(v.value - exact.value) <= p.tail_bound(len(w)) + 1e-15
-    # distinct tails reproduce deterministically
-    assert eval_S(p, 0.4, w, tail="random", seed=11).value == vr.value
+    for tail in (Word((0,) * extra, 2), Word((1,) * extra, 2), rand_word(rng, 2, extra)):
+        assert abs(eval_S(p, 0.4, w.concat(tail)) - exact) <= p.tail_bound(len(w)) + 1e-15
 
 
 def test_eval_S_deriv_consistency():
     p = params()
-    assert eval_S_deriv(p, 0.3, Word((1, 1, 0), 2), 0).value == pytest.approx(
-        eval_S(p, 0.3, Word((1, 1, 0), 2)).value
+    assert eval_S_deriv(p, 0.3, Word((1, 1, 0), 2), 0) == pytest.approx(
+        eval_S(p, 0.3, Word((1, 1, 0), 2))
     )
     pc = params(phi=PeriodicFn.constant(2.0))
-    assert eval_S_deriv(pc, 0.3, Word((1, 0), 2), 1).value == 0.0
+    assert eval_S_deriv(pc, 0.3, Word((1, 0), 2), 1) == 0.0
 
 
 def test_eval_S_deriv_finite_difference_oracle():
@@ -75,8 +70,8 @@ def test_eval_S_deriv_finite_difference_oracle():
     for _ in range(20):
         w = rand_word(rng, 2, int(rng.integers(2, 10)))
         x = float(rng.uniform(0.05, 0.95))
-        fd = (eval_S(p, x + h, w).value - eval_S(p, x - h, w).value) / (2 * h)
-        got = eval_S_deriv(p, x, w, 1).value
+        fd = (eval_S(p, x + h, w) - eval_S(p, x - h, w)) / (2 * h)
+        got = eval_S_deriv(p, x, w, 1)
         assert got == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
@@ -91,7 +86,7 @@ def test_cocycle_examples_and_contract():
         x = float(rng.random())
         w5 = rand_word(rng, 2, 5)
         i7 = rand_word(rng, 2, 7)
-        s = abs(eval_S(p, x, w5.concat(i7)).value)
+        s = abs(eval_S(p, x, w5.concat(i7)))
         assert cocycle_check(p, x, w5, i7) <= 1e-10 * (1.0 + s)
 
 
@@ -106,12 +101,12 @@ def test_derivative_cocycle_relation():
             j = rand_word(rng, 2, 6)
             x = float(rng.random())
             lhs = (
-                eval_S_deriv(p, x, u.concat(i), k).value
-                - eval_S_deriv(p, x, u.concat(j), k).value
+                eval_S_deriv(p, x, u.concat(i), k)
+                - eval_S_deriv(p, x, u.concat(j), k)
             )
             ux = word_point(u, x)
             rhs = (p.gamma / p.b**k) ** len(u) * (
-                eval_S_deriv(p, ux, i, k).value - eval_S_deriv(p, ux, j, k).value
+                eval_S_deriv(p, ux, i, k) - eval_S_deriv(p, ux, j, k)
             )
             assert abs(lhs - rhs) <= 1e-9
 
@@ -124,7 +119,7 @@ def test_tail_certificate_bounds_extension_spread():
         prefix = rand_word(rng, 2, 6)
         x = float(rng.random())
         exts = [prefix.concat(rand_word(rng, 2, depth - 6)) for _ in range(8)]
-        vals = [eval_S(p, x, e).value for e in exts]
+        vals = [eval_S(p, x, e) for e in exts]
         assert max(vals) - min(vals) <= 2 * p.tail_bound(6)
 
 
@@ -136,7 +131,7 @@ def test_degenerate_phi_telescopes_to_psi():
     for _ in range(500):
         w = rand_word(rng, 2, 30)
         x = float(rng.random())
-        got = eval_S(p, x, w).value
+        got = eval_S(p, x, w)
         worst = max(worst, abs(got - math.cos(2 * math.pi * x)))
     assert worst <= 1e-8
 
@@ -148,7 +143,7 @@ def test_bulk_kernels_match_scalar_evaluation():
     vals = series_over_prefixes(p, 0.31, n, suffix=suffix)
     for code in rng.integers(0, 3**n, 6):
         w = Word.from_code(int(code), n, 3).concat(Word(suffix, 3))
-        assert vals[code] == pytest.approx(eval_S(p, 0.31, w).value, abs=1e-13)
+        assert vals[code] == pytest.approx(eval_S(p, 0.31, w), abs=1e-13)
     codes = rng.integers(0, 3**n, 10).astype(np.int64)
     at = series_at_codes(p, 0.31, n, codes, suffix=suffix)
     for k, code in enumerate(codes):
@@ -157,7 +152,7 @@ def test_bulk_kernels_match_scalar_evaluation():
     fixed = series_fixed_word(p, xs, (1, 2, 0), order=1)
     for k, x in enumerate(xs):
         assert fixed[k] == pytest.approx(
-            eval_S_deriv(p, float(x), Word((1, 2, 0), 3), 1).value, abs=1e-12
+            eval_S_deriv(p, float(x), Word((1, 2, 0), 3), 1), abs=1e-12
         )
 
 

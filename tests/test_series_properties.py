@@ -9,10 +9,14 @@ term that is about 100 eps sup|phi^(k)| times the coefficient b^-k
 (gamma b^-k)^(n-1) of term n, which sums to at most 1 / (1 - gamma b^-k).
 The tolerance is fixed from that count before running: TOL_ULPS eps
 sup_norm(phi, k) / (1 - gamma b^-k), with TOL_ULPS = 256.
+
+The scalar oracle is itself checked against a 50-digit mpmath evaluation of
+the series, term by term, on depth-40 words.
 """
 
 import copy
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +45,7 @@ def tol(p: SystemParams, k: int) -> float:
 
 
 def oracle(p: SystemParams, x: float, word: Word, k: int = 0) -> float:
-    return eval_S_deriv(p, float(x), word, k).value
+    return eval_S_deriv(p, float(x), word, k)
 
 
 @st.composite
@@ -130,3 +134,40 @@ def test_random_tails_match_oracle_on_replayed_digits(data):
     for i, g in enumerate(got.reshape(-1)):
         word = Word(tuple(int(r[i]) for r in rows), p.b)
         assert abs(g - oracle(p, pts[i // per], word)) <= tol(p, 0)
+
+
+def mp_partial_sums(p: SystemParams, x: float, digits, k: int) -> list:
+    """Partial sums S_1, S_2, ... of the order-k series in 50-digit mpmath:
+    phi^(k)(tau) = sum_n (2 pi n)^k (a_n cos + b_n sin)(2 pi n tau + k pi / 2)."""
+    with mpmath.workdps(50):
+        tau, total, sums = mpmath.mpf(x), mpmath.mpf(0), []
+        coef = mpmath.mpf(p.b) ** -k
+        for d in digits:
+            tau = (tau + d) / p.b
+            for n, (an, bn) in enumerate(zip(p.phi.a, p.phi.b)):
+                arg = 2 * mpmath.pi * n * tau + k * mpmath.pi / 2
+                w = (2 * mpmath.pi * n) ** k
+                total += coef * w * (an * mpmath.cos(arg) + bn * mpmath.sin(arg))
+            sums.append(total)
+            coef *= mpmath.mpf(p.gamma) / mpmath.mpf(p.b) ** k
+        return sums
+
+
+def test_series_matches_mpmath_at_depth_40():
+    degree3 = PeriodicFn((0.25, 1.0, -0.5, 0.125), (0.0, 0.5, 0.25, -0.375))
+    rng = np.random.default_rng(40)
+    for b, gamma in ((2, 0.4), (3, 0.55)):
+        for phi in (PeriodicFn.cosine(), degree3):
+            p = SystemParams(b, gamma, phi)
+            depth = p.truncation_depth
+            assert depth < 40
+            for _ in range(2):
+                word = Word(tuple(int(v) for v in rng.integers(0, b, 40)), b)
+                xs = rng.random(2)
+                for k in range(3):
+                    bulk = series_fixed_word(p, xs, word.digits, order=k)
+                    for x, got in zip(xs, bulk):
+                        sums = mp_partial_sums(p, float(x), word.digits, k)
+                        assert abs(oracle(p, x, word, k) - float(sums[-1])) <= tol(p, k)
+                        assert abs(got - float(sums[-1])) <= tol(p, k)
+                        assert abs(sums[-1] - sums[depth - 1]) <= p.tail_bound(depth, k)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from solenoidlab.periodic import PeriodicFn
-from solenoidlab.words import SystemParams, Word, max_level, nhat, sample_words, word_point
+from solenoidlab.words import SystemParams, Word, max_level, nhat, word_point
 
 
 def test_word_point_examples():
@@ -93,15 +93,11 @@ def test_max_level_keeps_the_fixed_caps():
             assert max_level(b, 2**bits) == int(bits / math.log2(b)), (b, bits)
 
 
-def test_sample_words_empty_and_deterministic():
-    assert sample_words(2, 3, 0, seed=9) == []
-    a = sample_words(2, 5, 50, seed=9)
-    b = sample_words(2, 5, 50, seed=9)
-    assert a == b
-    assert all(len(w) == 5 for w in a)
-
-
-def test_sample_words_digit_frequency():
-    words = sample_words(2, 1, 10**6, seed=7)
-    freq0 = sum(1 for w in words if w.digits[0] == 0) / len(words)
-    assert abs(freq0 - 0.5) < 0.002
+def test_log_b_inv_gamma_is_float_derived():
+    # the float 0.2 lies just above 1/5, so exactly log_5(1/gamma) < 1 and an
+    # m-digit word resolves m - 1 levels; the float rule gives m, one above
+    p = SystemParams(5, 0.2, PeriodicFn.cosine())
+    assert p.log_b_inv_gamma == 1.0
+    for m in (1, 7, 30):
+        assert Fraction(p.gamma) ** m > Fraction(1, 5**m)
+        assert int(m * p.log_b_inv_gamma) == m
