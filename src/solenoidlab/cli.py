@@ -1,10 +1,15 @@
 """Command-line front end: experiment orchestration and report emission.
 
-Each experiment writes its own subdirectory under the configured output
-directory: a ``summary.txt`` of sorted ``key: value`` lines plus CSV tables
-(and a PGM raster for renders).  Reports contain no timestamps and all
+Every budget an experiment reads is declared once, with its default, in
+``BUDGETS``; building a ``RunConfig`` rejects an undeclared name or a
+non-integral value for an integer budget, before any experiment starts.
+Each experiment returns its summary and its files (CSV tables, and a PGM
+raster for renders) as bytes, and only then are they written, with a
+``summary.txt`` of sorted ``key: value`` lines, to ``<outdir>/<experiment>/``:
+a failed experiment leaves no folder.  Reports contain no timestamps and all
 reductions are deterministic, so identical config + seed reproduces
-bit-identical files.
+bit-identical files.  ``run`` and the experiment subcommands share
+``--outdir``, ``--seed`` and ``--budget``, which override the config file.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +28,12 @@ from .entropy import dimension_estimate, porosity_fraction
 from .fractal import (
     attractor_box_count,
     box_count_graph,
+    log_ratio,
     predicted_dimension,
     render_attractor,
     weierstrass_graph,
 )
-from .measures import build_mx_empirical
+from .measures import build_mx_empirical, build_mx_exact
 from .partitions import (
     decomposition_check,
     separation_exponent,
@@ -43,6 +49,24 @@ from .separation import (
 from .series import DEFAULT_CHUNK_CAP
 from .words import SystemParams, max_level, nhat
 
+#: Every budget the experiments read, with its default; an integer default
+#: makes an integer budget.  A callable default depends on the system or on
+#: another budget and is resolved against the config.
+BUDGETS = {
+    "mx_samples": 10**6, "box_level_min": 4, "box_level_max": 8, "box_points": 10**6,  # dim-estimate
+    "mx_level_min": 6, "mx_level_max": lambda cfg: min(14, cfg.params.max_bin_level()),
+    "ell": 4, "n_min": 8, "n_max": 14, "epsilon": 0.25,  # separation-scan
+    "x_grid": 64, "word_depth": 12,  # dichotomy-check
+    "porosity_word_len": 10, "porosity_m": 6, "porosity_k": 4, "porosity_words": 8,  # porosity
+    "porosity_depth": lambda cfg: min(14, max_level(cfg.params.b, 2**23)), "porosity_eps": 0.2,
+    "theta_t": 2, "grid_size": 1024, "theta_n_min": 16, "theta_n_max": 24,  # theta-entropy
+    "decomp_n": 6, "decomp_i": 4, "decomp_level": 6, "decomp_budget": 1 << 16,  # decomposition-check
+    "resolution": 512, "render_points": 10**6,  # render
+    "w_level_min": 4, "w_level_max": 8, "w_points_out": 4096,  # weierstrass
+    "weierstrass_lambda": lambda cfg: (1.0 / cfg.params.b + 1.0) / 2.0,
+    "w_resolution": lambda cfg: cfg.params.b ** _budget(cfg, "w_level_max") * 64,
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,12 +80,17 @@ class RunConfig:
 
     def __post_init__(self):
         for k, v in self.budgets.items():
+            if k not in BUDGETS:
+                raise ValueError(f"unknown budget {k}: no experiment reads it")
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"budget {k} must be numeric")
             if not math.isfinite(v):
                 raise ValueError(f"budget {k} must be finite, got {v!r}")
             if v <= 0:
                 raise ValueError(f"budget {k} must be positive")
+        for k, v in self.budgets.items():  # all finite and positive: defaults can be resolved
+            if isinstance(_budget(self, k), int) and not float(v).is_integer():
+                raise ValueError(f"budget {k} must be an integer, got {v!r}")
 
     def to_json(self) -> str:
         doc = {
@@ -101,55 +130,49 @@ def default_params() -> SystemParams:
     return SystemParams(b=2, gamma=0.4, phi=PeriodicFn.cosine())
 
 
-def _budget(cfg: RunConfig, key: str, default):
-    v = cfg.budgets.get(key, default)
-    if isinstance(default, int) and not float(v).is_integer():
-        raise ValueError(f"budget {key} must be an integer, got {v!r}")
-    return type(default)(v)
+def _budget(cfg: RunConfig, name: str):
+    """Budget ``name`` of ``cfg``: its configured value, else its declared default."""
+    default = BUDGETS[name]
+    if callable(default):
+        default = default(cfg)
+    return type(default)(cfg.budgets.get(name, default))
 
 
-def _write_summary(folder: Path, summary: dict) -> None:
-    lines = [f"{k}: {summary[k]}" for k in sorted(summary)]
-    (folder / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-def _write_rows(folder: Path, name: str, header: str, rows) -> None:
+def _csv(header: str, rows) -> bytes:
     lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
-    (folder / name).write_text("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_dim_estimate(cfg: RunConfig, folder: Path) -> dict:
+def _exp_dim_estimate(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
-    lev_lo = _budget(cfg, "mx_level_min", 6)
-    lev_hi = _budget(cfg, "mx_level_max", min(14, p.max_bin_level()))
-    samples = _budget(cfg, "mx_samples", 10**6)
+    lev_lo, lev_hi = _budget(cfg, "mx_level_min"), _budget(cfg, "mx_level_max")
+    samples = _budget(cfg, "mx_samples")
     mu = build_mx_empirical(p, GENERIC_BASE_POINT, lev_hi, samples, cfg.seed)
     prof = dimension_estimate(mu, range(lev_lo, lev_hi + 1))
-    box_levels = range(_budget(cfg, "box_level_min", 4), _budget(cfg, "box_level_max", 8) + 1)
-    box = attractor_box_count(p, _budget(cfg, "box_points", 10**6), box_levels, seed=cfg.seed)
-    _write_rows(folder, "entropy_profile.csv", "level,entropy", prof.to_rows())
-    _write_rows(folder, "box_counts.csv", "level,boxes", box.to_rows())
+    box_levels = range(_budget(cfg, "box_level_min"), _budget(cfg, "box_level_max") + 1)
+    box = attractor_box_count(p, _budget(cfg, "box_points"), box_levels, seed=cfg.seed)
     return {
         "fiber_entropy_slope": prof.slope,
         "fiber_slope_window": prof.slope_window,
         "attractor_box_slope": box.slope,
         "predicted_dimension": predicted_dimension(p.b, p.gamma),
-        "predicted_fiber_dimension": min(1.0, math.log(p.b) / math.log(1.0 / p.gamma)),
+        "predicted_fiber_dimension": min(1.0, log_ratio(p.b, p.gamma)),
         "mx_samples": samples,
+    }, {
+        "entropy_profile.csv": _csv("level,entropy", prof.to_rows()),
+        "box_counts.csv": _csv("level,boxes", box.to_rows()),
     }
 
 
-def _exp_separation_scan(cfg: RunConfig, folder: Path) -> dict:
+def _exp_separation_scan(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
-    ell = _budget(cfg, "ell", 4)
-    n_lo, n_hi = _budget(cfg, "n_min", 8), _budget(cfg, "n_max", 14)
-    eps = float(cfg.budgets.get("epsilon", 0.25))
+    ell, eps = _budget(cfg, "ell"), _budget(cfg, "epsilon")
+    n_lo, n_hi = _budget(cfg, "n_min"), _budget(cfg, "n_max")
     scan = exp_separation_scan(p, GENERIC_BASE_POINT, ell, eps, range(n_lo, n_hi + 1), seed=cfg.seed)
-    _write_rows(folder, "scan.csv", "n,nhat,min_gap,threshold,passed", scan.to_rows())
     return {
         "x": scan.x,
         "ell": ell,
@@ -157,14 +180,14 @@ def _exp_separation_scan(cfg: RunConfig, folder: Path) -> dict:
         "epsilon_max": scan.epsilon_max,
         "passing": list(scan.passing),
         "sampled_words": scan.sampled_words,
-    }
+    }, {"scan.csv": _csv("n,nhat,min_gap,threshold,passed", scan.to_rows())}
 
 
-def _exp_dichotomy(cfg: RunConfig, folder: Path) -> dict:
+def _exp_dichotomy(cfg: RunConfig) -> tuple[dict, dict]:
     v = condition_H_scan(
         cfg.params,
-        x_grid_size=_budget(cfg, "x_grid", 64),
-        word_depth=_budget(cfg, "word_depth", 12),
+        x_grid_size=_budget(cfg, "x_grid"),
+        word_depth=_budget(cfg, "word_depth"),
     )
     out = {"verdict": v.verdict, "sup_gap": v.sup_gap, "budget": v.budget}
     if v.witness_pair is not None:
@@ -173,23 +196,18 @@ def _exp_dichotomy(cfg: RunConfig, folder: Path) -> dict:
         out["witness_j"] = v.witness_pair[1].to_string()
     if v.degeneracy_bound is not None:
         out["degeneracy_bound"] = v.degeneracy_bound
-    return out
+    return out, {}
 
 
-def _exp_porosity(cfg: RunConfig, folder: Path) -> dict:
+def _exp_porosity(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
-    from .measures import build_mx_exact
-
-    word_len = _budget(cfg, "porosity_word_len", 10)
-    m = _budget(cfg, "porosity_m", 6)
-    k = _budget(cfg, "porosity_k", 4)
-    depth = _budget(cfg, "porosity_depth", min(14, max_level(p.b, 2**23)))
-    eps = float(cfg.budgets.get("porosity_eps", 0.2))
-    alpha = min(1.0, math.log(p.b) / math.log(1.0 / p.gamma))
+    word_len = _budget(cfg, "porosity_word_len")
+    m, k = _budget(cfg, "porosity_m"), _budget(cfg, "porosity_k")
+    depth, eps = _budget(cfg, "porosity_depth"), _budget(cfg, "porosity_eps")
+    alpha = min(1.0, log_ratio(p.b, p.gamma))
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    hits = 0
-    n_words = _budget(cfg, "porosity_words", 8)
+    rows, hits = [], 0
+    n_words = _budget(cfg, "porosity_words")
     for _ in range(n_words):
         code = int(rng.integers(0, p.b**word_len))
         x = (code) / float(p.b**word_len)
@@ -197,37 +215,36 @@ def _exp_porosity(cfg: RunConfig, folder: Path) -> dict:
         rep = porosity_fraction(mu, alpha, eps, m, 1, k)
         hits += rep.verdict
         rows.append((code, rep.fraction, rep.verdict))
-    _write_rows(folder, "porosity.csv", "word_code,fraction,verdict", rows)
     return {
         "alpha_reference": alpha,
         "eps": eps,
         "m": m,
         "scale_range": (1, k),
         "porous_fraction_of_words": hits / n_words,
-    }
+    }, {"porosity.csv": _csv("word_code,fraction,verdict", rows)}
 
 
-def _exp_theta_entropy(cfg: RunConfig, folder: Path) -> dict:
+def _exp_theta_entropy(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
-    t = _budget(cfg, "theta_t", 2)
-    cert = transversality_search(p, [t], grid_size=_budget(cfg, "grid_size", 1024))
+    t, n_lo, n_hi = _budget(cfg, "theta_t"), _budget(cfg, "theta_n_min"), _budget(cfg, "theta_n_max")
+
+    def within_cap(n):  # the b^(nhat(n) - t) suffix classes of scale n fit in memory
+        return p.b ** (nhat(n, p.b, p.gamma) - t) <= DEFAULT_CHUNK_CAP
+
+    too_big = next((n for n in range(n_lo, n_hi + 1, 2) if not within_cap(n)), None)
+    if too_big is not None:
+        raise ValueError(f"theta-entropy: table scale n={too_big} has b^(nhat(n) - t) above the "
+                         f"materialization cap {DEFAULT_CHUNK_CAP}; lower theta_n_max (now {n_hi})")
+    cert = transversality_search(p, [t], grid_size=_budget(cfg, "grid_size"))
     if cert is None:
-        return {"certificate": "none found", "t": t}
-    scan_ns = [n for n in range(8, 15) if p.b ** (nhat(n, p.b, p.gamma) - t) <= DEFAULT_CHUNK_CAP]
+        return {"certificate": "none found", "t": t}, {}
+    scan_ns = [n for n in range(8, 15) if within_cap(n)]
     if not scan_ns:
         raise ValueError(f"theta-entropy: no separation scale n in 8..14 has "
                          f"b^(nhat(n) - t) within the materialization cap {DEFAULT_CHUNK_CAP}")
     scan = exp_separation_scan(p, cert.x0, t, 0.25, scan_ns, seed=cfg.seed)
     C = separation_exponent(scan, p.b)
-    n_lo, n_hi = _budget(cfg, "theta_n_min", 16), _budget(cfg, "theta_n_max", 24)
     rows = theta_entropy_table(p, cert, range(n_lo, n_hi + 1, 2), C)
-    (folder / "certificate.json").write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
-    _write_rows(
-        folder,
-        "theta_entropy.csv",
-        "n,nhat,support,coarse,fine",
-        [(r.n, r.n_hat, r.support, r.coarse, r.fine) for r in rows],
-    )
     return {
         "t": t,
         "delta1": cert.delta1,
@@ -237,17 +254,23 @@ def _exp_theta_entropy(cfg: RunConfig, folder: Path) -> dict:
         "C": C,
         "coarse_last": rows[-1].coarse,
         "fine_last": rows[-1].fine,
-        "fine_limit": math.log(p.b) / math.log(1.0 / p.gamma),
+        "fine_limit": log_ratio(p.b, p.gamma),
+    }, {
+        "certificate.json": json.dumps(cert.to_dict(), indent=2, sort_keys=True).encode(),
+        "theta_entropy.csv": _csv(
+            "n,nhat,support,coarse,fine",
+            [(r.n, r.n_hat, r.support, r.coarse, r.fine) for r in rows],
+        ),
     }
 
 
-def _exp_decomposition(cfg: RunConfig, folder: Path) -> dict:
+def _exp_decomposition(cfg: RunConfig) -> tuple[dict, dict]:
     rep = decomposition_check(
         cfg.params,
-        n=_budget(cfg, "decomp_n", 6),
-        i_level=_budget(cfg, "decomp_i", 4),
-        level=_budget(cfg, "decomp_level", 6),
-        budget=_budget(cfg, "decomp_budget", 1 << 16),
+        n=_budget(cfg, "decomp_n"),
+        i_level=_budget(cfg, "decomp_i"),
+        level=_budget(cfg, "decomp_level"),
+        budget=_budget(cfg, "decomp_budget"),
         seed=cfg.seed,
     )
     return {
@@ -256,41 +279,34 @@ def _exp_decomposition(cfg: RunConfig, folder: Path) -> dict:
         "n_hat": rep.n_hat,
         "i_hat": rep.i_hat,
         "atoms": rep.atoms,
-    }
+    }, {}
 
 
-def _exp_render(cfg: RunConfig, folder: Path) -> dict:
+def _exp_render(cfg: RunConfig) -> tuple[dict, dict]:
     grid = render_attractor(
         cfg.params,
-        resolution=_budget(cfg, "resolution", 512),
-        n_points=_budget(cfg, "render_points", 10**6),
+        resolution=_budget(cfg, "resolution"),
+        n_points=_budget(cfg, "render_points"),
         seed=cfg.seed,
     )
-    grid.to_pgm(folder / "attractor.pgm")
     return {
         "width": grid.width,
         "height": grid.height,
         "y_min": grid.y_min,
         "y_max": grid.y_max,
         "occupied_fraction": grid.occupied_fraction(),
-    }
+    }, {"attractor.pgm": grid.to_pgm()}
 
 
-def _exp_weierstrass(cfg: RunConfig, folder: Path) -> dict:
+def _exp_weierstrass(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
-    lam = float(cfg.budgets.get("weierstrass_lambda", (1.0 / p.b + 1.0) / 2.0))
-    lev_lo, lev_hi = _budget(cfg, "w_level_min", 4), _budget(cfg, "w_level_max", 8)
-    res = _budget(cfg, "w_resolution", p.b**lev_hi * 64)
+    lam = _budget(cfg, "weierstrass_lambda")
+    lev_lo, lev_hi = _budget(cfg, "w_level_min"), _budget(cfg, "w_level_max")
+    res = _budget(cfg, "w_resolution")
     graph = weierstrass_graph(p.phi, lam, p.b, res)
     box = box_count_graph(graph.xs, graph.ys, range(lev_lo, lev_hi + 1), b=p.b)
-    _write_rows(folder, "box_counts.csv", "level,boxes", box.to_rows())
-    stride = max(1, len(graph.xs) // _budget(cfg, "w_points_out", 4096))
-    _write_rows(
-        folder,
-        "graph_points.csv",
-        "x,y",
-        list(zip(graph.xs[::stride].tolist(), graph.ys[::stride].tolist())),
-    )
+    stride = max(1, len(graph.xs) // _budget(cfg, "w_points_out"))
+    points = list(zip(graph.xs[::stride].tolist(), graph.ys[::stride].tolist()))
     return {
         "lambda": lam,
         "base": p.b,
@@ -298,6 +314,9 @@ def _exp_weierstrass(cfg: RunConfig, folder: Path) -> dict:
         "box_slope": box.slope,
         "terms": graph.terms,
         "resolution": res,
+    }, {
+        "box_counts.csv": _csv("level,boxes", box.to_rows()),
+        "graph_points.csv": _csv("x,y", points),
     }
 
 
@@ -314,24 +333,13 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: RunConfig) -> dict[str, dict]:
-    """Dispatch every configured experiment; returns their summaries."""
+    """Run every configured experiment, write its files once it returns; returns the summaries."""
     unknown = [name for name in cfg.experiments if name not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {', '.join(unknown)}")
     results: dict[str, dict] = {}
     for name in cfg.experiments:
-        folder = Path(cfg.outdir) / name
-        created = [p for p in (folder, *folder.parents) if not p.exists()]
-        folder.mkdir(parents=True, exist_ok=True)
-        try:
-            summary = EXPERIMENTS[name](cfg, folder)
-        except BaseException:
-            # an experiment that fails before writing leaves no empty folders
-            for p in created:
-                if any(p.iterdir()):
-                    break
-                p.rmdir()
-            raise
+        summary, files = EXPERIMENTS[name](cfg)
         summary = {
             **summary,
             "experiment": name,
@@ -341,7 +349,11 @@ def run_experiment(cfg: RunConfig) -> dict[str, dict]:
             "phi": cfg.params.phi.to_triples(),
             "truncation_tol": cfg.params.truncation_tol,
         }
-        _write_summary(folder, summary)
+        files["summary.txt"] = "".join(f"{k}: {summary[k]}\n" for k in sorted(summary)).encode()
+        folder = Path(cfg.outdir) / name
+        folder.mkdir(parents=True, exist_ok=True)
+        for file_name, data in files.items():
+            (folder / file_name).write_bytes(data)
         results[name] = summary
     return results
 
@@ -371,18 +383,16 @@ def main(argv=None) -> int:
         prog="solenoidlab",
         description="Numerical laboratory for skew-product solenoidal attractors.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--outdir", default=None, help="output directory (overrides the config)")
+    shared.add_argument("--seed", type=int, default=None, help="seed (overrides the config)")
+    shared.add_argument("--budget", action="append", metavar="NAME=VALUE", help="budget override")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run the experiment list from a config file")
+    run_p = sub.add_parser("run", parents=[shared], help="run the experiment list from a config file")
     run_p.add_argument("--config", required=True, help="path to a JSON run config")
-    run_p.add_argument("--outdir", default=None, help="override the output directory")
-    run_p.add_argument("--seed", type=int, default=None, help="override the seed")
-    run_p.add_argument("--budget", action="append", metavar="NAME=VALUE")
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+        p = sub.add_parser(name, parents=[shared], help=f"run the {name} experiment")
         p.add_argument("--config", default=None, help="JSON run config (default corpus system)")
-        p.add_argument("--outdir", default="out")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", action="append", metavar="NAME=VALUE")
     args = parser.parse_args(argv)
 
     try:
@@ -390,14 +400,12 @@ def main(argv=None) -> int:
             cfg = RunConfig.from_json(Path(args.config).read_text())
         else:
             cfg = RunConfig(params=default_params(), experiments=())
-        overrides = _parse_budget_overrides(args.budget)
-        experiments = cfg.experiments if args.command == "run" else (args.command,)
-        cfg = RunConfig(
-            params=cfg.params,
-            experiments=experiments,
-            seed=cfg.seed if getattr(args, "seed", None) is None else args.seed,
-            budgets={**cfg.budgets, **overrides},
-            outdir=cfg.outdir if getattr(args, "outdir", None) is None else args.outdir,
+        cfg = replace(
+            cfg,
+            experiments=cfg.experiments if args.command == "run" else (args.command,),
+            seed=cfg.seed if args.seed is None else args.seed,
+            budgets={**cfg.budgets, **_parse_budget_overrides(args.budget)},
+            outdir=cfg.outdir if args.outdir is None else args.outdir,
         )
         results = run_experiment(cfg)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -60,30 +59,18 @@ class EntropyProfile:
         return list(zip(self.levels, self.entropies))
 
 
-def dimension_estimate(
-    mu_builder: Callable[[int], DiscreteMeasure] | DiscreteMeasure,
-    levels,
-) -> EntropyProfile:
+def dimension_estimate(mu: DiscreteMeasure, levels) -> EntropyProfile:
     """Least-squares slope of H(level) over the given window.
 
-    ``mu_builder`` is either a level -> measure callable or a fixed measure
-    resolved at least as deep as max(levels) (then coarsening is used).
+    ``mu`` must be resolved at least as deep as max(levels); coarser levels
+    are reached by coarsening.
     """
     levels = sorted(int(v) for v in levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 levels")
     if len(set(levels)) != len(levels):
         raise ValueError("levels must be distinct")
-    if isinstance(mu_builder, DiscreteMeasure):
-        base = mu_builder
-
-        def mu_builder(level, _m=base):  # noqa: F811 - closure over the measure
-            return _m
-
-    ents = []
-    for lev in levels:
-        mu = mu_builder(lev)
-        ents.append(entropy(mu, lev))
+    ents = [entropy(mu, lev) for lev in levels]
     slope, intercept, resid = fit_line(levels, ents)
     return EntropyProfile(
         levels=tuple(levels),

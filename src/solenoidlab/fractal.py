@@ -33,12 +33,16 @@ from .periodic import PeriodicFn, eval as phi_eval, sup_norm
 from .words import SystemParams, max_level
 
 
-def predicted_dimension(b: int, gamma: float) -> float:
-    """min(2, 1 + log b / log(1/gamma)): the attractor dimension in the
-    non-degenerate regime."""
+def log_ratio(b: int, gamma: float) -> float:
+    """r = log b / log(1/gamma); min(1, r) is the fiber dimension."""
     if b < 2 or not 0.0 < gamma < 1.0:
         raise ValueError("need b >= 2 and gamma in (0, 1)")
-    return min(2.0, 1.0 + math.log(b) / math.log(1.0 / gamma))
+    return math.log(b) / math.log(1.0 / gamma)
+
+
+def predicted_dimension(b: int, gamma: float) -> float:
+    """min(2, 1 + r): the attractor dimension in the non-degenerate regime."""
+    return min(2.0, 1.0 + log_ratio(b, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -58,16 +62,14 @@ class RasterGrid:
     def occupied_fraction(self) -> float:
         return float((self.counts > 0).mean())
 
-    def to_pgm(self, path) -> None:
-        """Write a portable graymap (max-normalized, zero stays zero)."""
+    def to_pgm(self) -> bytes:
+        """The grid as a portable graymap (max-normalized, zero stays zero)."""
         peak = self.counts.max()
         img = np.zeros_like(self.counts, dtype=np.uint8)
         if peak > 0:
             img = np.ceil(self.counts / peak * 255.0).astype(np.uint8)
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{self.width} {self.height}\n255\n".encode())
-            # row 0 at the top = largest y
-            fh.write(img.T[::-1].tobytes())
+        # row 0 at the top = largest y
+        return f"P5\n{self.width} {self.height}\n255\n".encode() + img.T[::-1].tobytes()
 
 
 def render_attractor(

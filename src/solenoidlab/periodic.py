@@ -93,34 +93,6 @@ class PeriodicFn:
             if self.a[k] != 0.0 or self.b[k] != 0.0
         ]
 
-    # ---------------------------------------------------------- arithmetic
-    def __add__(self, other: "PeriodicFn") -> "PeriodicFn":
-        n = max(len(self.a), len(other.a))
-        a = [0.0] * n
-        b = [0.0] * n
-        for k in range(len(self.a)):
-            a[k] += self.a[k]
-            b[k] += self.b[k]
-        for k in range(len(other.a)):
-            a[k] += other.a[k]
-            b[k] += other.b[k]
-        return PeriodicFn(tuple(a), tuple(b))
-
-    def scale(self, c: float) -> "PeriodicFn":
-        return PeriodicFn(tuple(c * v for v in self.a), tuple(c * v for v in self.b))
-
-    def rescale_argument(self, m: int) -> "PeriodicFn":
-        """Return g with g(x) = f(m x); harmonic k moves to k*m."""
-        if m < 1:
-            raise ValueError("argument multiplier must be >= 1")
-        n = (len(self.a) - 1) * m + 1
-        a = [0.0] * n
-        b = [0.0] * n
-        for k in range(len(self.a)):
-            a[k * m] += self.a[k]
-            b[k * m] += self.b[k]
-        return PeriodicFn(tuple(a), tuple(b))
-
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.a) and all(v == 0.0 for v in self.b)
 
@@ -186,4 +158,11 @@ def cohomological_phi(psi: PeriodicFn, b: int, gamma: float) -> PeriodicFn:
         raise ValueError("b must be >= 2")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    return psi.rescale_argument(b) + psi.scale(-gamma)
+    n = psi.degree * b + 1
+    a, s = [0.0] * n, [0.0] * n
+    for k in range(len(psi.a)):  # index k * b >= k: psi(bx) lands before -gamma psi(x)
+        a[k * b] += psi.a[k]
+        s[k * b] += psi.b[k]
+        a[k] -= gamma * psi.a[k]
+        s[k] -= gamma * psi.b[k]
+    return PeriodicFn(tuple(a), tuple(s))

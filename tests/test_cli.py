@@ -1,9 +1,11 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from solenoidlab.cli import RunConfig, default_params, main, run_experiment
+from solenoidlab import cli
+from solenoidlab.cli import BUDGETS, RunConfig, default_params, main, run_experiment
 from solenoidlab.periodic import PeriodicFn, cohomological_phi
 from solenoidlab.words import SystemParams
 
@@ -199,4 +201,48 @@ def test_failed_theta_entropy_leaves_no_partial_result(tmp_path):
     config.write_text(json.dumps({"system": {"b": 3, "gamma": 0.6, "phi": [[1, 1.0, 0.0]]}}))
     outdir = tmp_path / "out"
     assert main(["theta-entropy", "--config", str(config), "--outdir", str(outdir)]) == 2
+    assert not outdir.exists()
+
+
+def test_budget_reads_match_the_budget_table():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_budget"]
+    read = {c.args[1].value for c in calls if isinstance(c.args[1], ast.Constant)}
+    assert sorted(read - set(BUDGETS)) == [], "budgets read but not declared"
+    assert sorted(set(BUDGETS) - read) == [], "budgets declared but never read"
+
+
+def test_experiment_subcommand_honours_config_seed_and_outdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(RunConfig(default_params(), (), seed=7, outdir=str(tmp_path / "cfg")).to_json())
+    assert main(["dichotomy-check", "--config", str(config)]) == 0
+    assert "seed: 7" in (tmp_path / "cfg" / "dichotomy-check" / "summary.txt").read_text().splitlines()
+    assert not (tmp_path / "out").exists()
+    argv = ["dichotomy-check", "--config", str(config), "--seed", "3", "--outdir", str(tmp_path / "cli")]
+    assert main(argv) == 0
+    assert "seed: 3" in (tmp_path / "cli" / "dichotomy-check" / "summary.txt").read_text().splitlines()
+
+
+def test_unknown_budget_name_exits_2_before_any_folder(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["dichotomy-check", "--outdir", str(outdir), "--budget", "word_dpeth=3"]) == 2
+    assert "word_dpeth" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_non_integral_integer_budget_raises_at_construction():
+    with pytest.raises(ValueError, match="word_depth"):
+        RunConfig(default_params(), ("dichotomy-check",), budgets={"word_depth": 1.5})
+    RunConfig(default_params(), (), budgets={"epsilon": 1.5, "weierstrass_lambda": 0.7})
+
+
+def test_theta_entropy_table_beyond_the_cap_exits_2_naming_theta_n_max(tmp_path, capsys):
+    config = tmp_path / "b3.json"
+    phi = [[1, 1.0, 0.0], [2, 0.5, 0.3]]
+    config.write_text(json.dumps({"system": {"b": 3, "gamma": 0.3, "phi": phi}}))
+    outdir = tmp_path / "out"
+    assert main(["theta-entropy", "--config", str(config), "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "theta-entropy" in err and "n=18" in err and "theta_n_max" in err
     assert not outdir.exists()

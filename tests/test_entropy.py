@@ -149,16 +149,7 @@ def test_dimension_estimate_lebesgue_and_dirac():
     assert prof0.slope == pytest.approx(0.0, abs=1e-9)
 
 
-def test_dimension_estimate_accepts_builder_and_rejects_small_windows():
-    calls = []
-
-    def builder(level):
-        calls.append(level)
-        return DiscreteMeasure.uniform_unit(2, level)
-
-    prof = dimension_estimate(builder, [2, 4, 6])
-    assert prof.slope == pytest.approx(1.0, abs=1e-9)
-    assert calls == [2, 4, 6]
+def test_dimension_estimate_rejects_small_windows():
     with pytest.raises(ValueError):
         dimension_estimate(DiscreteMeasure.uniform_unit(2, 8), [3, 5])
 

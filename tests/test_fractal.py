@@ -114,12 +114,10 @@ def test_render_extent_and_determinism():
     assert len(cols) == 64  # x-marginal covers the full range
 
 
-def test_pgm_export(tmp_path):
+def test_pgm_export():
     p = SystemParams(2, 0.4, COS)
     grid = render_attractor(p, 32, 5000, seed=4)
-    path = tmp_path / "a.pgm"
-    grid.to_pgm(path)
-    data = path.read_bytes()
+    data = grid.to_pgm()
     assert data.startswith(b"P5\n32 32\n255\n")
     assert len(data) == len(b"P5\n32 32\n255\n") + 32 * 32
 
