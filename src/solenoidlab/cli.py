@@ -1,8 +1,10 @@
 """Command-line front end: experiment orchestration and report emission.
 
 Every budget an experiment reads is declared once, with its default, in
-``BUDGETS``; building a ``RunConfig`` rejects an undeclared name or a
-non-integral value for an integer budget, before any experiment starts.
+``BUDGETS``, and every (min, max) budget pair once, with the least width its
+experiment needs, in ``WINDOWS``; building a ``RunConfig`` rejects an
+undeclared name, a non-integral value for an integer budget or a window too
+narrow for a listed experiment, before any experiment starts.
 Each experiment returns its summary and its files (CSV tables, and a PGM
 raster for renders) as bytes, and only then are they written, with a
 ``summary.txt`` of sorted ``key: value`` lines, to ``<outdir>/<experiment>/``:
@@ -67,6 +69,15 @@ BUDGETS = {
     "w_resolution": lambda cfg: cfg.params.b ** _budget(cfg, "w_level_max") * 64,
 }
 
+#: Every (min, max) budget pair, with the least max - min its experiment
+#: needs: a slope fit takes at least 3 levels, a scan or table one scale.
+WINDOWS = {
+    "dim-estimate": (("mx_level_min", "mx_level_max", 2), ("box_level_min", "box_level_max", 2)),
+    "separation-scan": (("n_min", "n_max", 0),),
+    "theta-entropy": (("theta_n_min", "theta_n_max", 0),),
+    "weierstrass": (("w_level_min", "w_level_max", 2),),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -91,6 +102,12 @@ class RunConfig:
         for k, v in self.budgets.items():  # all finite and positive: defaults can be resolved
             if isinstance(_budget(self, k), int) and not float(v).is_integer():
                 raise ValueError(f"budget {k} must be an integer, got {v!r}")
+        for name in self.experiments:
+            for lo, hi, width in WINDOWS.get(name, ()):
+                lo_v, hi_v = _budget(self, lo), _budget(self, hi)
+                if hi_v - lo_v < width:
+                    raise ValueError(f"{name} needs {hi} - {lo} >= {width}, "
+                                     f"got {lo}={lo_v} and {hi}={hi_v}")
 
     def to_json(self) -> str:
         doc = {

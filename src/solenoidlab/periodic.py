@@ -8,6 +8,13 @@ Finite degree gives exact term-wise derivatives of every order and a
 certified sup-norm bound ``sum_k (2 pi k)^r (|a_k| + |b_k|)``, which is what
 the separation and transversality scans need.  Evaluation reduces the
 argument mod 1 first, so periodicity holds structurally in floating point.
+
+``eval_deriv`` visits only the harmonics k >= 1 whose derivative
+coefficients are nonzero: per point it costs one ``cos`` for each nonzero
+a_k and one ``sin`` for each nonzero b_k, and the k = 0 term is added as a
+scalar.  The cosine terms are summed in ascending k, then the sine terms,
+then the two sums, so a single-harmonic f is one transcendental times its
+coefficient, rounded once.
 """
 
 from __future__ import annotations
@@ -131,12 +138,29 @@ def eval_deriv(f: PeriodicFn, x, order: int):
     xa = np.asarray(x, dtype=float)
     frac = xa - np.floor(xa)
     a, b = _deriv_coeffs(f, order)
-    k = np.arange(len(a), dtype=float)
-    ang = TWO_PI * np.multiply.outer(frac, k)
-    out = np.cos(ang) @ a + np.sin(ang) @ b
+    cos_sum = a[0] if a[0] != 0.0 else None  # None: no term yet, an exact 0
+    sin_sum = None
+    for k in range(1, len(a)):
+        if a[k] == 0.0 and b[k] == 0.0:
+            continue
+        ang = TWO_PI * (frac * k)
+        if a[k] != 0.0:
+            cos_sum = _plus(cos_sum, a[k] * np.cos(ang))
+        if b[k] != 0.0:
+            sin_sum = _plus(sin_sum, b[k] * np.sin(ang))
+    out = _plus(cos_sum, sin_sum)
+    if out is None:
+        out = 0.0
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
-    return out
+    return np.full(frac.shape, out) if np.ndim(out) == 0 else out  # no harmonic: a constant
+
+
+def _plus(acc, term):
+    """acc + term, where None stands for an exact 0 that is never added."""
+    if acc is None:
+        return term
+    return acc if term is None else acc + term
 
 
 def sup_norm(f: PeriodicFn, order: int = 0) -> float:

@@ -31,8 +31,10 @@ word points of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1
 so level n costs one phi evaluation on b^n points, about b/(b-1) b^n points
 in all against n b^n for appending per word.
 
-``eval_S_deriv`` stays a scalar loop over Python floats that shares no code
-with the bulk path, so it serves as the reference oracle for the kernel.
+``eval_S_deriv`` stays a scalar loop over Python floats and shares only the
+phi kernel ``periodic.eval_deriv`` with the bulk path, so it serves as the
+reference oracle for the append recursion; the phi kernel itself is checked
+on its own against an mpmath evaluation (``tests/test_periodic.py``).
 """
 
 from __future__ import annotations

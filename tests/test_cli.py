@@ -246,3 +246,29 @@ def test_theta_entropy_table_beyond_the_cap_exits_2_naming_theta_n_max(tmp_path,
     err = capsys.readouterr().err
     assert "theta-entropy" in err and "n=18" in err and "theta_n_max" in err
     assert not outdir.exists()
+
+
+def run_after_dichotomy(tmp_path, experiment, budgets):
+    """`run` over dichotomy-check then ``experiment``; returns the exit code."""
+    doc = {"system": {"b": 2, "gamma": 0.4, "phi": [[1, 1, 0]]},
+           "experiments": ["dichotomy-check", experiment], "budgets": budgets}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    return main(["run", "--config", str(config), "--outdir", str(tmp_path / "out")])
+
+
+def test_reversed_theta_window_exits_2_before_any_experiment(tmp_path, capsys):
+    assert run_after_dichotomy(tmp_path, "theta-entropy", {"theta_n_max": 14}) == 2
+    err = capsys.readouterr().err
+    assert "theta-entropy" in err and "theta_n_min=16" in err and "theta_n_max=14" in err
+    assert not (tmp_path / "out").exists()
+    RunConfig(default_params(), ("theta-entropy",), budgets={"theta_n_min": 14, "theta_n_max": 14})
+
+
+def test_two_level_weierstrass_window_exits_2_before_any_experiment(tmp_path, capsys):
+    assert run_after_dichotomy(tmp_path, "weierstrass", {"w_level_max": 5}) == 2
+    err = capsys.readouterr().err
+    assert "weierstrass" in err and "w_level_min=4" in err and "w_level_max=5" in err
+    assert not (tmp_path / "out").exists()
+    RunConfig(default_params(), ("weierstrass",), budgets={"w_level_max": 6})
+    RunConfig(default_params(), ("dim-estimate",), budgets={"w_level_max": 5})  # not its window

@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solenoidlab.periodic import (
     MAX_DERIV_ORDER,
     PeriodicFn,
+    _deriv_coeffs,
     cohomological_phi,
     eval as fn_eval,
     eval_deriv,
@@ -13,6 +17,11 @@ from solenoidlab.periodic import (
 )
 
 TWO_PI = 2.0 * math.pi
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+ORDERS = st.integers(0, MAX_DERIV_ORDER)
+POINTS = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8)
+#: Coefficients, exactly 0 about half the time.
+COEFS = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))
 
 
 def test_zero_function():
@@ -103,3 +112,67 @@ def test_triples_round_trip():
 def test_invalid_coefficients_rejected():
     with pytest.raises(ValueError):
         PeriodicFn((float("nan"),), (0.0,))
+
+
+@st.composite
+def trig_polys(draw):
+    degree = draw(st.integers(0, 8))
+    cos = draw(st.lists(COEFS, min_size=degree + 1, max_size=degree + 1))
+    sin = [0.0] + draw(st.lists(COEFS, min_size=degree, max_size=degree))
+    return PeriodicFn(tuple(cos), tuple(sin))
+
+
+def mp_deriv(f: PeriodicFn, x: float, order: int):
+    """f^(order)(x) in 50-digit mpmath at the exact float x and coefficients."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for k, (ak, bk) in enumerate(zip(f.a, f.b)):
+            arg = 2 * mpmath.pi * k * mpmath.mpf(x) + order * mpmath.pi / 2
+            total += (2 * mpmath.pi * k) ** order * (ak * mpmath.cos(arg) + bk * mpmath.sin(arg))
+        return total
+
+
+def rounding_bound(f: PeriodicFn, order: int) -> float:
+    """Bound on |eval_deriv - exact| for x in [0, 1), counted before running.
+
+    With u = 2^-53 and S = sup_norm(f, order), each term c_k trig(ang) errs by
+    at most |c_k| u times: 2 order + 3 for its coefficient ((2 pi k)^order from
+    the rounded 2 pi, a product, a power within 1 ulp, times a_k); 6 pi k for
+    the angle 2 pi (x k), three roundings of a value below 2 pi k; 4 for the
+    cos or sin (4 ulps of a value <= 1); 1 for the product; and 2 K for the sums of at most 2 K + 1 terms.  Summed
+    over k <= K that is (6 pi K + 2 K + 2 order + 8) u S; the factor 1.01
+    covers second-order terms and the rounding of S itself.
+    """
+    K = f.degree
+    return 1.01 * (6 * math.pi * K + 2 * K + 2 * order + 8) * 2.0**-53 * sup_norm(f, order)
+
+
+@SETTINGS
+@given(trig_polys(), ORDERS, POINTS)
+def test_eval_deriv_matches_mpmath(f, order, xs):
+    bound = rounding_bound(f, order)
+    got = eval_deriv(f, np.array(xs), order)
+    for x, g in zip(xs, got):
+        assert abs(mpmath.mpf(g) - mp_deriv(f, x, order)) <= bound
+        assert abs(mpmath.mpf(eval_deriv(f, x, order)) - mp_deriv(f, x, order)) <= bound
+
+
+def test_single_harmonic_is_one_transcendental():
+    """A single harmonic's derivative is its one rotated coefficient times one
+    cos or sin, rounded once: the order-th derivative of a cos (a sin) term is a
+    cos (a sin) term at even order and a sin (a cos) term at odd order."""
+    xs = np.concatenate([np.random.default_rng(0).random(257), np.arange(8) / 8, [-2.75, 7.1]])
+    frac = xs - np.floor(xs)
+    for kind in ("cos", "sin"):
+        for k in range(1, 9):
+            ang = TWO_PI * (frac * k)
+            for amplitude in (1.0, -1.0, 0.37, -2.5e3):
+                f = getattr(PeriodicFn, "cosine" if kind == "cos" else "sine")(amplitude, k)
+                for order in range(MAX_DERIV_ORDER + 1):
+                    c_cos, c_sin = _deriv_coeffs(f, order)
+                    as_cos = (kind == "cos") == (order % 2 == 0)
+                    coef, other = (c_cos, c_sin) if as_cos else (c_sin, c_cos)
+                    assert not other.any() and np.count_nonzero(coef) == 1
+                    trig = np.cos if as_cos else np.sin
+                    assert np.array_equal(eval_deriv(f, xs, order), coef[k] * trig(ang))
+                    assert eval_deriv(f, float(xs[3]), order) == coef[k] * trig(ang)[3]
