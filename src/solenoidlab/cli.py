@@ -4,7 +4,8 @@ Every budget an experiment reads is declared once, with its default, in
 ``BUDGETS``, and every (min, max) budget pair once, with the least width its
 experiment needs, in ``WINDOWS``; building a ``RunConfig`` rejects an
 undeclared name, a non-integral value for an integer budget or a window too
-narrow for a listed experiment, before any experiment starts.
+narrow for a listed experiment, before any experiment starts; reading one
+from JSON also refuses a non-integral base, seed or harmonic index.
 Each experiment returns its summary and its files (CSV tables, and a PGM
 raster for renders) as bytes, and only then are they written, with a
 ``summary.txt`` of sorted ``key: value`` lines, to ``<outdir>/<experiment>/``:
@@ -62,7 +63,7 @@ BUDGETS = {
     "porosity_word_len": 10, "porosity_m": 6, "porosity_k": 4, "porosity_words": 8,  # porosity
     "porosity_depth": lambda cfg: min(14, max_level(cfg.params.b, 2**23)), "porosity_eps": 0.2,
     "theta_t": 2, "grid_size": 1024, "theta_n_min": 16, "theta_n_max": 24,  # theta-entropy
-    "decomp_n": 6, "decomp_i": 4, "decomp_level": 6, "decomp_budget": 1 << 16,  # decomposition-check
+    "decomp_n": 6, "decomp_i": 4, "decomp_level": 6,  # decomposition-check
     "resolution": 512, "render_points": 10**6,  # render
     "w_level_min": 4, "w_level_max": 8, "w_points_out": 4096,  # weierstrass
     "weierstrass_lambda": lambda cfg: (1.0 / cfg.params.b + 1.0) / 2.0,
@@ -128,19 +129,27 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
         sysdoc = doc["system"]
+        phi = [(_integer("phi harmonic index", k), a, b) for k, a, b in sysdoc.get("phi", [])]
         params = SystemParams(
-            b=int(sysdoc["b"]),
+            b=_integer("b", sysdoc["b"]),
             gamma=float(sysdoc["gamma"]),
-            phi=PeriodicFn.from_triples(sysdoc.get("phi", [])),
+            phi=PeriodicFn.from_triples(phi),
             truncation_tol=float(sysdoc.get("truncation_tol", 1e-9)),
         )
         return cls(
             params=params,
             experiments=tuple(doc.get("experiments", [])),
-            seed=int(doc.get("seed", 0)),
+            seed=_integer("seed", doc.get("seed", 0)),
             budgets={str(k): v for k, v in doc.get("budgets", {}).items()},
             outdir=str(doc.get("outdir", "out")),
         )
+
+
+def _integer(name: str, v) -> int:
+    """A config integer; a bool or a non-integral value is refused, not truncated."""
+    if isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def default_params() -> SystemParams:
@@ -287,7 +296,6 @@ def _exp_decomposition(cfg: RunConfig) -> tuple[dict, dict]:
         n=_budget(cfg, "decomp_n"),
         i_level=_budget(cfg, "decomp_i"),
         level=_budget(cfg, "decomp_level"),
-        budget=_budget(cfg, "decomp_budget"),
         seed=cfg.seed,
     )
     return {

@@ -9,7 +9,8 @@ builders, which merge chunk by chunk, are independent of chunk scheduling.
 ``WORK_BUDGET`` caps the b^depth words an exact build enumerates and
 ``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once.
 ``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
-is its one-head case; ``partitions.measure_B`` passes one head per word).
+is its one-head case; ``partitions.measure_B`` passes one head per word of a
+uniform word block, the decomposition check's whole mixture among them).
 One chunk rule fixes every sampled stream: heads go in groups of
 max(1, _CHUNK // samples) and each group's samples are drawn _CHUNK at a
 time; a larger ``_CHUNK`` would change the streams and raise peak memory.

@@ -12,7 +12,10 @@ values.  ``theta_entropy_table`` feeds it the bulk values of whole suffix
 classes; ``partition_key`` feeds it the scalar ``eval_S`` values of one word
 and so is the oracle of those bulk values.
 Word measures are uniform blocks: the uniform measure on Lambda^p . suffix,
-whose series values come from one prefix tile.
+whose series values come from one prefix tile.  ``measure_B`` draws seeded
+digit tails behind a block; over an empty suffix it is the hybrid builder
+(exact heads over every word of one length, sampled tails), and
+``decomposition_check`` draws its whole double mixture as one such tile.
 
 Binning levels are clipped to the exact-index cap (b^level <= 2^45); at the
 scales scanned here the clipped cells are still several orders coarser than
@@ -30,7 +33,6 @@ from .measures import (
     DiscreteMeasure,
     bin_index,
     build_mx_exact,
-    mix,
     tail_sampled_measure,
     total_variation,
 )
@@ -123,17 +125,14 @@ class WordMeasure:
         w = np.full(count, 1.0 / count)
         return w / w.sum()
 
-    def series(self, x0: float, extra: Word) -> np.ndarray:
-        """S(x0, j . suffix . extra) over the support, exact, in code order."""
-        return series_over_prefixes(
-            self.params, x0, self.prefix_len, suffix=self.suffix.digits + extra.digits
-        )
+    def series(self, x0: float) -> np.ndarray:
+        """S(x0, j . suffix) over the support, exact, in code order."""
+        return series_over_prefixes(self.params, x0, self.prefix_len, suffix=self.suffix.digits)
 
-    def word_points(self, x0: float, extra: Word) -> np.ndarray:
-        """Word points over x0 of j . suffix . extra, in code order."""
-        tail = self.suffix.concat(extra)
-        codes = self.codes + self.params.b**self.prefix_len * tail.code()
-        return (x0 + codes) / float(self.params.b) ** (self.prefix_len + len(tail))
+    def word_points(self, x0: float) -> np.ndarray:
+        """Word points over x0 of j . suffix, in code order."""
+        codes = self.codes + self.params.b**self.prefix_len * self.suffix.code()
+        return (x0 + codes) / float(self.params.b) ** self.word_length
 
 
 def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
@@ -150,18 +149,17 @@ def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
 def measure_B(
     params: SystemParams,
     xi: WordMeasure,
-    q: Word,
     x0: float,
     tail_samples: int,
     seed: int,
     level: int,
 ) -> DiscreteMeasure:
-    """Distribution of S(x0, w q j) with w ~ xi and seeded i.i.d. digit tails,
-    truncated at the system truncation depth."""
+    """Distribution of S(x0, w j) with w ~ xi and ``tail_samples`` seeded
+    i.i.d. digit tails j per word, truncated at the system truncation depth."""
     rng = np.random.default_rng(seed)
-    contraction = params.gamma ** (xi.word_length + len(q))
     return tail_sampled_measure(
-        params, xi.series(x0, q), xi.word_points(x0, q), contraction, tail_samples, level, rng
+        params, xi.series(x0), xi.word_points(x0), params.gamma**xi.word_length,
+        tail_samples, level, rng,
     )
 
 
@@ -184,7 +182,6 @@ def decomposition_check(
     n: int,
     i_level: int,
     level: int,
-    budget: int = 1 << 16,
     seed: int = 0,
     tail_samples: int = 4,
 ) -> DecompositionReport:
@@ -192,36 +189,29 @@ def decomposition_check(
     generic base point and its double mixture over suffix classes and
     connector words.
 
-    The mixture runs over all pairs (u, v) of length-2 words and all
-    connectors q of length i_hat - 2, each contributing a tail-sampled
-    series distribution; the reported budget combines both truncation tails
-    and a multinomial sampling estimate.
+    The mixture runs over pairs (u, v) of t-letter words, the suffix class
+    theta_u (uniform on the words w u of length n_hat = nhat(n)) and the
+    connectors q = v q' of length i_hat = nhat(i_level).  Each word w u q
+    gets weight b^(-2t) b^(-(i_hat - t)) b^(-(n_hat - t)) = b^(-(n_hat + i_hat)),
+    the same for every word of length n_hat + i_hat whatever t is, so the
+    mixture is the uniform block over Lambda^(n_hat + i_hat): one
+    ``measure_B`` draw over that tile with tail-sampled series values.  A
+    tile above ``DEFAULT_CHUNK_CAP`` words is refused before the exact side
+    is built.  The reported budget combines both truncation tails and a
+    multinomial sampling estimate.
     """
     b = params.b
-    x0, t = GENERIC_BASE_POINT, 2
+    x0 = GENERIC_BASE_POINT
     nh = nhat(n, b, params.gamma)
     ih = nhat(i_level, b, params.gamma)
-    if nh <= t or ih <= t:
-        raise ValueError("matched scales must exceed t")
-    if b ** (nh - t) > budget or b ** (ih - t) > budget:
-        raise ValueError("word enumeration exceeds the budget")
+    if b ** (nh + ih) > DEFAULT_CHUNK_CAP:
+        raise ValueError(f"decomposition-check: n={n}, i_level={i_level} give a tile of "
+                         f"b^(nhat + ihat) = {b ** (nh + ih)} words, above the "
+                         f"materialization cap {DEFAULT_CHUNK_CAP}")
     depth_lhs = min(params.truncation_depth, max_level(b, 2**23) + 1)
     lhs = build_mx_exact(params, x0, level, depth_lhs)
-
-    def parts():
-        for u_code in range(b**t):
-            theta = theta_measure(params, Word.from_code(u_code, t, b), n)
-            for v_code in range(b**t):
-                v = Word.from_code(v_code, t, b)
-                for q_code in range(b ** (ih - t)):
-                    q = v.concat(Word.from_code(q_code, ih - t, b))
-                    sub = measure_B(
-                        params, theta, q, x0, tail_samples,
-                        seed + ((u_code * b**t + v_code) << 20) + q_code, level,
-                    )
-                    yield 1.0 / b ** (2 * t) * (1.0 / b ** (ih - t)), sub
-
-    rhs = mix(parts())
+    tile = WordMeasure(params, nh + ih, Word.empty(b))
+    rhs = measure_B(params, tile, x0, tail_samples, seed, level)
     residual = total_variation(lhs, rhs)
     n_atoms = b ** (nh + ih) * tail_samples
     tail_terms = params.tail_bound(depth_lhs) + params.gamma ** (nh + ih) * params.tail_bound(
@@ -275,9 +265,8 @@ def _theta_keys(params: SystemParams, cert: TransversalityCertificate, n: int, C
     """The suffix-class measure of scale n with its key columns at partition
     level 0 and at level max(1, round(C n)), each as (columns, lev12, lev3)."""
     theta = theta_measure(params, cert.a, n)
-    empty = Word.empty(params.b)
-    values = theta.series(cert.x0, empty)
-    base = theta.word_points(cert.x0, empty)
+    values = theta.series(cert.x0)
+    base = theta.word_points(cert.x0)
     probes = [series_fixed_word(params, base, w.digits) for w in (cert.h, cert.h_prime)]
     m = theta.word_length
     coarse = partition_keys(params, 0, m, values, probes)

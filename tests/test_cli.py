@@ -56,6 +56,26 @@ def test_unknown_experiment_rejected(tmp_path):
         run_experiment(cfg)
 
 
+def test_non_integral_system_fields_exit_2_naming_the_field(tmp_path, capsys):
+    system = {"b": 2, "gamma": 0.4, "phi": [[1, 1.0, 0.0]]}
+    cases = [
+        ("b", {"system": {**system, "b": 2.7}}),
+        ("b", {"system": {**system, "b": True}}),
+        ("seed", {"system": system, "seed": 1.9}),
+        ("seed", {"system": system, "seed": True}),
+        ("harmonic index", {"system": {**system, "phi": [[1.5, 1.0, 0.0]]}}),
+    ]
+    for field_name, doc in cases:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**doc, "experiments": ["dichotomy-check"]}))
+        assert main(["run", "--config", str(config), "--outdir", str(tmp_path / "out")]) == 2
+        assert f"{field_name} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    integral = {"system": {**system, "b": 3.0, "phi": [[2.0, 1.0, 0.0]]}, "seed": 4.0}
+    cfg = RunConfig.from_json(json.dumps(integral))
+    assert (cfg.params.b, cfg.seed, cfg.params.phi.to_triples()) == (3, 4, [(2, 1.0, 0.0)])
+
+
 def test_dichotomy_check_degenerate_summary(tmp_path):
     phi = cohomological_phi(PeriodicFn.cosine(), 2, 0.4)
     cfg = RunConfig(
@@ -176,6 +196,17 @@ def test_failed_experiment_leaves_no_empty_folder(tmp_path):
     argv = ["decomposition-check", "--outdir", str(outdir), "--budget", "decomp_n=1.5"]
     assert main(argv) == 2
     assert sorted(p.name for p in outdir.iterdir()) == ["dichotomy-check"]
+
+
+def test_decomposition_tile_over_the_cap_exits_2_before_any_folder(tmp_path, capsys):
+    # nhat(6) + nhat(4) = 10 + 7 here: a tile of 3^17 words
+    config = tmp_path / "b3.json"
+    config.write_text(json.dumps({"system": {"b": 3, "gamma": 0.5, "phi": [[1, 1.0, 0.0]]}}))
+    outdir = tmp_path / "out"
+    assert main(["decomposition-check", "--config", str(config), "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "n=6" in err and "i_level=4" in err and str(3**17) in err and "cap 4194304" in err
+    assert not outdir.exists()
 
 
 def test_theta_entropy_scans_only_scales_within_the_cap(tmp_path, capsys):

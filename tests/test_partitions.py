@@ -5,7 +5,9 @@ import pytest
 
 from solenoidlab.entropy import entropy
 from solenoidlab.measures import DiscreteMeasure, total_variation
+from solenoidlab import partitions
 from solenoidlab.partitions import (
+    WordMeasure,
     decomposition_check,
     measure_B,
     partition_key,
@@ -98,16 +100,17 @@ def test_theta_minimal_case_and_guards():
 def test_measure_B_zero_phi(cert):
     p = params(phi=PeriodicFn.zero())
     xi = theta_measure(p, cert.a, 8)
-    mu = measure_B(p, xi, Word((1, 1), 2), 0.3, tail_samples=3, seed=0, level=8)
+    xi_q = WordMeasure(p, xi.prefix_len, xi.suffix.concat(Word((1, 1), 2)))
+    mu = measure_B(p, xi_q, 0.3, tail_samples=3, seed=0, level=8)
     assert len(mu.indices) == 1 and mu.indices[0] == 0
 
 
 def test_measure_B_single_word_concentrates(cert):
     p = params()
     xi = theta_measure(p, cert.a, 6)
-    one = type(xi)(p, 0, xi.suffix)
     q = Word((1, 0, 1), 2)
-    mu = measure_B(p, one, q, cert.x0, tail_samples=16, seed=2, level=12)
+    one = WordMeasure(p, 0, xi.suffix.concat(q))
+    mu = measure_B(p, one, cert.x0, tail_samples=16, seed=2, level=12)
     head_len = len(xi.suffix) + len(q)
     spread = 2 * p.gamma**head_len * p.fiber_bound
     assert mu.support_diameter() <= spread + 2 * 2.0**-12
@@ -118,7 +121,8 @@ def test_measure_B_matches_direct_sampling(cert):
     xi = theta_measure(p, cert.a, 8)
     q = Word((1, 0), 2)
     level = 5
-    mu = measure_B(p, xi, q, cert.x0, tail_samples=24, seed=3, level=level)
+    xi_q = WordMeasure(p, xi.prefix_len, xi.suffix.concat(q))
+    mu = measure_B(p, xi_q, cert.x0, tail_samples=24, seed=3, level=level)
     rng = np.random.default_rng(4)
     n = 30000
     depth = p.truncation_depth
@@ -135,9 +139,9 @@ def test_measure_B_matches_direct_sampling(cert):
 def test_measure_B_reproducible(cert):
     p = params()
     xi = theta_measure(p, cert.a, 8)
-    q = Word((1,), 2)
-    a = measure_B(p, xi, q, cert.x0, tail_samples=4, seed=9, level=8)
-    b = measure_B(p, xi, q, cert.x0, tail_samples=4, seed=9, level=8)
+    xi_q = WordMeasure(p, xi.prefix_len, xi.suffix.concat(Word((1,), 2)))
+    a = measure_B(p, xi_q, cert.x0, tail_samples=4, seed=9, level=8)
+    b = measure_B(p, xi_q, cert.x0, tail_samples=4, seed=9, level=8)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.weights, b.weights)
 
@@ -156,7 +160,22 @@ def test_decomposition_fixture_and_budget_guard():
     assert rep.residual <= 0.05
     assert rep.n_hat == nhat(6, 2, 0.4) and rep.i_hat == nhat(4, 2, 0.4)
     with pytest.raises(ValueError):
-        decomposition_check(p, n=40, i_level=4, level=6, budget=1 << 8)
+        decomposition_check(p, n=40, i_level=4, level=6)
+
+
+def test_decomposition_tile_over_the_cap_raises_before_the_exact_side(monkeypatch):
+    def exact_side(*args, **kwargs):
+        raise AssertionError("the exact side was built for a tile over the cap")
+
+    monkeypatch.setattr(partitions, "build_mx_exact", exact_side)
+    with pytest.raises(ValueError, match=r"n=40, i_level=4 .* 34359738368 words.* cap 4194304"):
+        decomposition_check(params(), n=40, i_level=4, level=6)
+
+
+def test_decomposition_at_the_smallest_scale_stays_within_budget():
+    rep = decomposition_check(params(), n=1, i_level=4, level=6, seed=0)
+    assert rep.n_hat == 1
+    assert rep.residual <= rep.error_budget
 
 
 def test_decomposition_residual_shrinks_with_budget():

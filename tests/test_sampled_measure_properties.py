@@ -2,7 +2,7 @@
 
 |S(p, tail)| <= fiber_bound = sup|phi| / (1 - gamma) for every point p and
 every tail, so the empirical fiber measure sits in [-M, M] and each atom of
-``measure_B`` lies within gamma^L M of its head value S(x0, w q), L = |w q|.
+``measure_B`` lies within gamma^L M of its head value S(x0, w), L = |w|.
 Binning a value inside an interval lands in the cells of the interval's end
 points; ``measure_B`` gets one cell of slack on each side for the rounding of
 head + gamma^L tail.  Every sample weighs the same, so every head carries the
@@ -47,11 +47,12 @@ def test_measure_B_atoms_lie_within_the_head_envelope(data):
     p, x0 = data.draw(systems()), data.draw(POINTS)
     xi = WordMeasure(p, data.draw(st.integers(0, 4)), Word(data.draw(digits(p.b, 3)), p.b))
     q = Word(data.draw(digits(p.b, 3)), p.b)
+    xi = WordMeasure(p, xi.prefix_len, xi.suffix.concat(q))
     level = data.draw(st.integers(0, 12))
     samples = data.draw(st.integers(1, 8))
-    mu = measure_B(p, xi, q, x0, samples, data.draw(st.integers(0, 2**32)), level)
-    heads = xi.series(x0, q)
-    reach = p.gamma ** (xi.word_length + len(q)) * p.fiber_bound
+    mu = measure_B(p, xi, x0, samples, data.draw(st.integers(0, 2**32)), level)
+    heads = xi.series(x0)
+    reach = p.gamma**xi.word_length * p.fiber_bound
     assert bin_index(heads.min() - reach, p.b, level) - 1 <= mu.indices[0]
     assert mu.indices[-1] <= bin_index(heads.max() + reach, p.b, level) + 1
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
