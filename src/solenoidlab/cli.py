@@ -5,7 +5,8 @@ Every budget an experiment reads is declared once, with its default, in
 experiment needs, in ``WINDOWS``; building a ``RunConfig`` rejects an
 undeclared name, a non-integral value for an integer budget or a window too
 narrow for a listed experiment, before any experiment starts; reading one
-from JSON also refuses a non-integral base, seed or harmonic index.
+from JSON also refuses a non-integral base, seed or harmonic index, and a
+``phi`` entry that is not a [k, a_k, b_k] list of numbers.
 Each experiment returns its summary and its files (CSV tables, and a PGM
 raster for renders) as bytes, and only then are they written, with a
 ``summary.txt`` of sorted ``key: value`` lines, to ``<outdir>/<experiment>/``:
@@ -129,11 +130,10 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
         sysdoc = doc["system"]
-        phi = [(_integer("phi harmonic index", k), a, b) for k, a, b in sysdoc.get("phi", [])]
         params = SystemParams(
             b=_integer("b", sysdoc["b"]),
             gamma=float(sysdoc["gamma"]),
-            phi=PeriodicFn.from_triples(phi),
+            phi=PeriodicFn.from_triples(_phi_triples(sysdoc.get("phi", []))),
             truncation_tol=float(sysdoc.get("truncation_tol", 1e-9)),
         )
         return cls(
@@ -150,6 +150,22 @@ def _integer(name: str, v) -> int:
     if isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer():
         return int(v)
     raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _phi_triples(entries) -> list[tuple[int, float, float]]:
+    """The config's ``phi`` entries; each must be a [k, a_k, b_k] list of numbers."""
+    if not isinstance(entries, list):
+        raise ValueError(f"phi must be a list of [k, a_k, b_k] entries, got {entries!r}")
+    out = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, list) or len(e) != 3:
+            raise ValueError(f"phi entry {i} must be a [k, a_k, b_k] list, got {e!r}")
+        try:
+            a, b = float(e[1]), float(e[2])
+        except (TypeError, ValueError):
+            raise ValueError(f"phi entry {i} coefficients must be numbers, got {e!r}") from None
+        out.append((_integer("phi harmonic index", e[0]), a, b))
+    return out
 
 
 def default_params() -> SystemParams:

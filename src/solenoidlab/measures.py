@@ -3,9 +3,14 @@
 A measure lives at a fixed level n: mass sits on cells [j/b^n, (j+1)/b^n),
 stored as a sorted table of int64 cell indices with positive weights that
 sum to one.  Levels are capped so that index arithmetic stays exact in
-float64 (b^level <= 2^45).  ``_merge_cells`` is the one rule that merges
-(index, weight) tables: it adds each cell's weights in stream order, so exact
-builders, which merge chunk by chunk, are independent of chunk scheduling.
+float64 (b^level <= 2^45).  ``_Hist`` is the one rule that accumulates
+(index, weight) chunks; ``_merge_cells`` is its one-chunk case.  ``np.add.at``
+adds each cell's weights in stream order, so a table is independent of how its
+stream is chunked, and zero-weight cells are kept.  While the index span is at
+most 2 * items + 1024 (items: the caller's declared total) the table is a
+dense window of sums plus an occupancy mask, and a chunk costs O(chunk); a
+regrown window takes a margin of 1/16 of its old span on each side that grew.
+A wider span falls back to the sorted merge, which re-sorts with every chunk.
 ``WORK_BUDGET`` caps the b^depth words an exact build enumerates and
 ``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once.
 ``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
@@ -70,25 +75,62 @@ def sorted_unique(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
     return k[keep]
 
 
-def _merge_cells(idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge_cells(idx: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct indices of an (index, weight) table and the summed
-    weight of each, added in stream order (``np.add.at`` keeps that order)."""
-    u, inv = np.unique(idx, return_inverse=True)
-    acc = np.zeros(len(u))
-    np.add.at(acc, inv, w)
-    return u, acc
+    weight of each: the table of a one-chunk ``_Hist``."""
+    hist = _Hist(len(idx))
+    hist.add(idx, w)
+    return hist.idx, hist.w
 
 
 class _Hist:
-    """Associative accumulator of (index, weight) tables."""
+    """Accumulator of (index, weight) chunks that adds each cell's weights in
+    stream order.  ``items``, the caller's total item count, sets the bound
+    on the dense window's span."""
 
-    def __init__(self):
-        self.idx = np.empty(0, dtype=np.int64)
-        self.w = np.empty(0)
+    def __init__(self, items: int = 0):
+        self.items = items
+        self.lo = 0
+        self.acc = np.zeros(0)  # sums over cells lo .. lo + len(acc) - 1
+        self.occ = np.zeros(0, dtype=bool)  # cells that received an item
+        self.table = None  # sorted (idx, w) once the span outgrows the window
 
-    def add(self, idx: np.ndarray, w: np.ndarray) -> None:
-        idx, w = np.concatenate([self.idx, idx]), np.concatenate([self.w, w])
-        self.idx, self.w = _merge_cells(idx, w)
+    @property
+    def idx(self) -> np.ndarray:
+        return self.table[0] if self.table is not None else np.flatnonzero(self.occ) + self.lo
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.table[1] if self.table is not None else self.acc[self.occ]
+
+    def add(self, idx: np.ndarray, w) -> None:
+        """Add a chunk; ``w`` is one weight per item or one for all of them."""
+        if len(idx) == 0:
+            return
+        if self.table is None:
+            lo, hi = int(idx.min()), int(idx.max()) + 1
+            if len(self.acc):
+                lo, hi = min(lo, self.lo), max(hi, self.lo + len(self.acc))
+            bound = 2 * self.items + 1024
+            if hi - lo <= bound:
+                if hi - lo > len(self.acc):  # regrow, with a margin on each side that grew
+                    pad = min(len(self.acc) // 16, (bound - (hi - lo)) // 2)
+                    lo, hi = lo - pad * (lo < self.lo), hi + pad * (hi > self.lo + len(self.acc))
+                    acc, occ = np.zeros(hi - lo), np.zeros(hi - lo, dtype=bool)
+                    acc[self.lo - lo:][: len(self.acc)] = self.acc
+                    occ[self.lo - lo:][: len(self.occ)] = self.occ
+                    self.lo, self.acc, self.occ = lo, acc, occ
+                pos = idx - self.lo
+                np.add.at(self.acc, pos, w)
+                self.occ[pos] = True
+                return
+            self.table = self.idx, self.w
+        old_idx, old_w = self.table
+        u, inv = np.unique(np.concatenate([old_idx, idx]), return_inverse=True)
+        acc = np.zeros(len(u))
+        np.add.at(acc, inv[: len(old_idx)], old_w)
+        np.add.at(acc, inv[len(old_idx):], w)
+        self.table = u, acc
 
 
 @dataclass(frozen=True)
@@ -198,14 +240,14 @@ def tail_sampled_measure(
     tips = np.asarray(tips, dtype=float)
     depth = params.truncation_depth
     group = max(1, _CHUNK // samples)
-    hist = _Hist()
+    hist = _Hist(len(heads) * samples)
     for start in range(0, len(heads), group):
         sl = slice(start, start + group)
         for done in range(0, samples, _CHUNK):
             vals = random_tail_series(params, tips[sl], depth, min(_CHUNK, samples - done), rng)
             vals *= contraction
             vals += heads[sl, None]
-            hist.add(bin_index(vals.reshape(-1), params.b, level), np.full(vals.size, 1.0))
+            hist.add(bin_index(vals.reshape(-1), params.b, level), 1.0)
     return DiscreteMeasure(params.b, level, hist.idx, hist.w)
 
 
@@ -238,10 +280,10 @@ def build_mx_exact(
         raise ValueError("depth must be >= 1")
     if params.b**depth > WORK_BUDGET:
         raise ValueError(f"b^depth = {params.b**depth} exceeds the work budget {WORK_BUDGET}")
-    hist = _Hist()
     total = params.b**depth
+    hist = _Hist(total)
     for block in iter_series_all_words(params, x, depth):
-        hist.add(bin_index(block, params.b, level), np.full(len(block), 1.0 / total))
+        hist.add(bin_index(block, params.b, level), 1.0 / total)
     return DiscreteMeasure(params.b, level, hist.idx, hist.w)
 
 
@@ -265,7 +307,8 @@ def pushforward_affine(mu: DiscreteMeasure, a: float, c: float, out_level: int) 
 def mix(components) -> DiscreteMeasure:
     """Weighted superposition of measures on a common lattice, merged in one
     pass over any iterable of (weight, measure) pairs."""
-    hist = _Hist()
+    components = list(components)
+    hist = _Hist(sum(len(m.indices) for _, m in components))
     first = None
     total = 0.0
     for w, m in components:
@@ -292,7 +335,7 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int) -> Discre
     mm, wm = mu.midpoints(), mu.weights
     nm, wn = nu.midpoints(), nu.weights
     rows = max(1, DEFAULT_CHUNK_CAP // max(1, len(mm)))
-    hist = _Hist()
+    hist = _Hist(len(mm) * len(nm))
     for start in range(0, len(nm), rows):
         sl = slice(start, start + rows)
         vals = (nm[sl][:, None] + mm[None, :]).reshape(-1)

@@ -76,6 +76,28 @@ def test_non_integral_system_fields_exit_2_naming_the_field(tmp_path, capsys):
     assert (cfg.params.b, cfg.seed, cfg.params.phi.to_triples()) == (3, 4, [(2, 1.0, 0.0)])
 
 
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ([1], "phi entry 0 must be a [k, a_k, b_k] list, got 1"),
+        ([[1, 1.0, 0.0], [2, 0.5]], "phi entry 1 must be a [k, a_k, b_k] list, got [2, 0.5]"),
+        ([[1, 1.0, 0.0, 0.0]], "phi entry 0 must be a [k, a_k, b_k] list"),
+        (["abc"], "phi entry 0 must be a [k, a_k, b_k] list, got 'abc'"),
+        ({"1": [1.0, 0.0]}, "phi must be a list of [k, a_k, b_k] entries"),
+        ([[1, "x", 0.0]], "phi entry 0 coefficients must be numbers, got [1, 'x', 0.0]"),
+        ([[1, 1.0, None]], "phi entry 0 coefficients must be numbers, got [1, 1.0, None]"),
+    ],
+)
+def test_malformed_phi_entry_exits_2_naming_the_entry(tmp_path, capsys, phi, message):
+    config = tmp_path / "cfg.json"
+    doc = {"system": {"b": 2, "gamma": 0.4, "phi": phi}, "experiments": ["dichotomy-check"]}
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dichotomy_check_degenerate_summary(tmp_path):
     phi = cohomological_phi(PeriodicFn.cosine(), 2, 0.4)
     cfg = RunConfig(
