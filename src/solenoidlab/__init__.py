@@ -68,7 +68,7 @@ from .separation import (
     transversality_search,
     validate_certificate,
 )
-from .series import cocycle_check, eval_S, eval_S_deriv
+from .series import eval_S, eval_S_deriv
 from .words import SystemParams, Word, nhat, word_point
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -232,7 +232,16 @@ def tail_sampled_measure(
 ) -> DiscreteMeasure:
     """Histogram of heads[i] + contraction * S(tips[i], tail) over ``samples``
     seeded i.i.d. tails per head, tails at the system truncation depth and
-    every sample of weight one."""
+    every sample of weight one.
+
+    The tails come from ``random_tail_series``.  For phi = a_0 + a_1 cos +
+    b_1 sin at b = 2, 3, 4 it takes one cosine per block of k = 4, 3, 2
+    digits and steps up each block by Chebyshev polynomials; its error count
+    puts each value within 135 eps (|a_1| + |b_1|) / (1 - gamma) of exact
+    arithmetic on the same word points, times ``contraction`` here.  A
+    sample can therefore land in another cell than the per-digit kernel's
+    only if it lies within that distance of a cell edge.
+    """
     _check_level(params.b, level)
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -15,16 +15,25 @@ evaluates finite words exactly; an infinite word stands in as its prefix of
 the system's truncation depth, and ``SystemParams.tail_bound`` bounds the
 dropped tail.
 
-Every bulk evaluation runs one append kernel, ``_append_series``: from base
-points tau it applies tau <- (tau + d) / b per digit row d and adds
+Every exact bulk evaluation runs one append kernel, ``_append_series``: from
+base points tau it applies tau <- (tau + d) / b per digit row d and adds
 c phi^(k)(tau), with c shrinking by gamma b^-k per digit.  The callers differ
 only in where the digits come from: a fixed word (``series_fixed_word``), the
-digits of explicit codes (``series_at_codes``), a common suffix or the high
+digits of explicit codes (``series_at_codes``), or a common suffix or the high
 digits of an enumeration chunk, appended to prefix word points
-(``series_over_prefixes``, ``iter_series_all_words``), or seeded uniform rows
-(``random_tail_series``).  Digit rows broadcast against tau: suffix rows given
-as columns of shape (r, 1) make ``series_over_prefixes`` return one row of
-values per suffix, all appended to one prefix tile.
+(``series_over_prefixes``, ``iter_series_all_words``).  Digit rows broadcast
+against tau: suffix rows given as columns of shape (r, 1) make
+``series_over_prefixes`` return one row of values per suffix, all appended to
+one prefix tile.
+
+Seeded uniform tails (``random_tail_series``) feed their rows to the same
+kernel, except where phi has no harmonic above 1 and b <= 4.  There
+``_stepped_tails`` takes one cosine per block of k = 4, 3, 2 digits
+(b = 2, 3, 4) at the block's deepest word point and steps up the block by
+Chebyshev polynomials, cos 2 pi b t = T_b(cos 2 pi t).  Its error count,
+at most 135 eps (|a_1| + |b_1|) / (1 - gamma) against exact arithmetic on
+the same word points, fixes k; these sampled values may differ from the
+append kernel's in the last bits, while every exact path stays bit for bit.
 
 Enumerating all prefixes of a length uses the tile recursion instead: the
 word points of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1},
@@ -39,12 +48,13 @@ on its own against an mpmath evaluation (``tests/test_periodic.py``).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
-from .periodic import eval_deriv
-from .words import SystemParams, Word, max_level, word_point
+from .periodic import PeriodicFn, eval_deriv
+from .words import SystemParams, Word, max_level
 
 #: Largest array a bulk enumeration materializes at once.
 DEFAULT_CHUNK_CAP = 1 << 22
@@ -69,16 +79,6 @@ def eval_S_deriv(params: SystemParams, x: float, w: Word, order: int) -> float:
         val += coef * eval_deriv(params.phi, tau, order)
         coef *= step
     return val
-
-
-def cocycle_check(params: SystemParams, x: float, w: Word, i: Word) -> float:
-    """Residual |S(x, w i) - S(x, w) - gamma^|w| S(w(x), i)| on exact finite words."""
-    if len(w) < 1:
-        raise ValueError("w must be nonempty")
-    whole = eval_S(params, x, w.concat(i))
-    head = eval_S(params, x, w)
-    tail_val = eval_S(params, word_point(w, x), i)
-    return abs(whole - head - params.gamma ** len(w) * tail_val)
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +175,132 @@ def random_tail_series(
     samples_per: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """S(p, tail) for seeded i.i.d. tails: shape (len(base_points), samples_per)."""
+    """S(p, tail) for seeded i.i.d. tails: shape (len(base_points), samples_per).
+
+    The digit rows are drawn in order, one per level, whichever kernel sums
+    them, so the rng stream and its final state do not depend on phi.  When
+    phi has no harmonic above 1 and b is 2, 3 or 4, ``_stepped_tails`` takes
+    one cosine per block of k = 4, 3 or 2 digits and steps up the block by
+    Chebyshev polynomials; by its error count each value then lies within
+    135 eps (|a_1| + |b_1|) / (1 - gamma) of exact arithmetic on the same word
+    points.  Any other phi or base takes ``_append_series``.
+    """
     tau = np.repeat(np.asarray(base_points, dtype=float), samples_per)
     rows = (rng.integers(0, params.b, size=tau.shape) for _ in range(depth))
-    return _append_series(params, tau, rows).reshape(-1, samples_per)
+    phi = params.phi
+    kernel = _append_series
+    if params.b in _TAIL_BLOCK and not any(phi.a[2:] + phi.b[2:]):
+        kernel = _stepped_tails
+    return kernel(params, tau, rows).reshape(-1, samples_per)
+
+
+#: Digits per block of ``_stepped_tails`` by base, fixed by its error count.
+_TAIL_BLOCK = {2: 4, 3: 3, 4: 2}
+#: cos 2 pi t and sin 2 pi t, which ``_stepped_tails`` evaluates at block seeds.
+_COS, _SIN = PeriodicFn.cosine(), PeriodicFn.sine()
+
+
+def _chebyshev_up(c: np.ndarray, s, b: int, u) -> None:
+    """Overwrite (c, s) = (cos, sin) of 2 pi t with (cos, sin) of 2 pi b t:
+    c <- T_b(c), s <- s U_(b-1)(c).  s is None when no sine is wanted; u is
+    scratch of c's shape at b = 3."""
+    if b == 3:
+        np.multiply(c, c, out=u)
+        u *= 4.0
+        if s is not None:
+            s *= u - 1.0  # U_2 = 4c^2 - 1
+        u -= 3.0
+        c *= u  # T_3 = c (4c^2 - 3)
+        return
+    for _ in range(b // 2):  # b = 4 is b = 2 twice
+        if s is not None:
+            s *= c
+            s *= 2.0  # U_1 = 2c
+        np.multiply(c, c, out=c)
+        c *= 2.0
+        c -= 1.0  # T_2 = 2c^2 - 1
+
+
+def _stepped_tails(params: SystemParams, tau: np.ndarray, digit_rows) -> np.ndarray:
+    """``_append_series`` at order 0 for phi = a_0 + a_1 cos 2 pi t + b_1 sin 2 pi t,
+    with one cosine (and one sine if b_1 != 0) per block of k = _TAIL_BLOCK[b]
+    digits.  Overwrites tau.
+
+    Digit rows are consumed in order.  After the k rows of a block, cos and
+    sin are taken at the deepest word point tau_m only, by ``eval_deriv`` of
+    a unit harmonic, so they round as the per-digit kernel's do; since
+    tau_(n-1) = b tau_n mod 1, the shallower points of the block follow by
+    c <- T_b(c), s <- s U_(b-1)(c).  ``_add_block`` sums a block in Horner
+    form, acc <- gamma acc + c, and adds gamma^n0 a_1 acc (likewise b_1 for
+    the sines); a_0 is added once, times the sum of all coefficients.
+
+    Error count, done before choosing k, per term against exact arithmetic
+    on the same float word points, in units of eps = 2^-52.  A step turns an
+    error in the angle 2 pi t into b times that error, and an error in the
+    value c into at most |T_b'(c)| <= b^2 times it, the maximum sitting at
+    c = +-1.  j = k - 1 steps lead from the deepest point to the top of a
+    block.
+    - Value errors.  cos and sin round to within eps/2 at the deepest point
+      (numpy's measure 0.51 ulp at worst); one step rounds to within r_b = 0.75,
+      2.25, 3.75 at b = 2, 3, 4 (T_4 is T_2 twice).  At the top of a block
+      they reach b^(2j)/2 + r_b (b^(2j) - 1)/(b^2 - 1).
+    - Angle errors.  The deepest angle rounds to within 2 and carries the
+      float 2 pi's relative error, 1.1 eps per unit of b^j tau_m < b^j.  Each
+      step adds 2 pi rho_b, where rho_b = |b tau_n - d_n - tau_(n-1)| <= 0.5,
+      1.75, 1 is the rounding of (tau + d) / b.  At the top they reach
+      3.1 b^j + 2 pi rho_b (b^j - 1)/(b - 1).
+    - The sine.  Its value errors obey ds' <= b ds + K_b dc + r'_b, with
+      K_b = max |s U_(b-1)'(c)| = 2, 4 and r'_b = 0.5, 2.25 at b = 2, 3 (b = 4
+      is two b = 2 steps), and stay below the cosine's.
+    The total is 95 at (b, k) = (2, 4), 135 at (3, 3) and 31 at (4, 2), for
+    a_1 and b_1 each; one digit more per block would give 289, 796 and 273.
+    Term n weighs gamma^(n-1), so a value moves by at most that bound times
+    (|a_1| + |b_1|) / (1 - gamma).  The tolerance of the series property
+    tests is 256 eps sup|phi| / (1 - gamma), of which about 100 covers the
+    rounding of partial sums and trig calls that every bulk kernel has.
+    On constant digit rows (words held next to 0, 1/2 or 1) at 250 base
+    points, the largest deviations from ``eval_S_deriv`` were 41, 51 and 17
+    eps sup|phi| / (1 - gamma).
+    """
+    b, gam = params.b, params.gamma
+    a0, a1 = (params.phi.a + (0.0,))[:2]
+    b1 = (params.phi.b + (0.0,))[1]
+    out = np.zeros(tau.shape)
+    rows = iter(digit_rows)
+    term, total = 1.0, 0.0  # coefficient of the next term; sum of all coefficients
+    while True:
+        coef, m = term, 0
+        for d in islice(rows, _TAIL_BLOCK[b]):
+            tau += d
+            del d  # a sampled digit row is not kept while the next is drawn
+            tau /= b
+            total += term
+            term *= gam
+            m += 1
+        if m == 0:
+            break
+        if a1 or b1:
+            _add_block(out, params, tau, m, coef)
+    if a0:
+        out += a0 * total
+    return out
+
+
+def _add_block(out: np.ndarray, params: SystemParams, tau: np.ndarray, m: int, coef: float) -> None:
+    """out += coef sum_(i<m) gamma^i (phi - a_0)(tau_i) over the m word points
+    of a block, tau_0 the shallowest and tau_(m-1) = tau the deepest.  Its
+    arrays die on return, so none is kept while the next block's rows are
+    drawn."""
+    b, a1, b1 = params.b, params.phi.a[1], params.phi.b[1]
+    c = eval_deriv(_COS, tau, 0)
+    s = eval_deriv(_SIN, tau, 0) if b1 else None
+    u = np.empty(tau.shape) if b == 3 else None  # T_3's scratch
+    sums = [(v.copy(), v, w) for v, w in ((c, a1), (s, b1)) if w]  # (Horner sum, values, weight)
+    for _ in range(m - 1):
+        _chebyshev_up(c, s, b, u)
+        for acc, v, _ in sums:
+            acc *= params.gamma
+            acc += v
+    for acc, _, w in sums:
+        acc *= coef * w
+        out += acc

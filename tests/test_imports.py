@@ -20,7 +20,6 @@ MARKER = "# noqa: F401 - perfbench/layers.py wraps this name"
 
 #: Exported names that only tests call, each with the reason it stays.
 TEST_ONLY = {
-    "cocycle_check": "checks the cocycle identity of the series on exact words",
     "cohomological_phi": "builds the degenerate system of acceptance criterion 2",
     "component": "oracle of entropy._component_entropies",
     "derivative_separation": "the derivative-separation scan over orders; no experiment runs it yet",

@@ -5,7 +5,6 @@ import pytest
 
 from solenoidlab.periodic import PeriodicFn, cohomological_phi
 from solenoidlab.series import (
-    cocycle_check,
     eval_S,
     eval_S_deriv,
     iter_series_all_words,
@@ -14,6 +13,8 @@ from solenoidlab.series import (
     series_over_prefixes,
 )
 from solenoidlab.words import SystemParams, Word, word_point
+
+from series_oracles import cocycle_check
 
 COS = PeriodicFn.cosine()
 

@@ -12,6 +12,13 @@ sup_norm(phi, k) / (1 - gamma b^-k), with TOL_ULPS = 256.
 
 The scalar oracle is itself checked against a 50-digit mpmath evaluation of
 the series, term by term, on depth-40 words.
+
+``random_tail_series`` steps cosines down blocks of digits by Chebyshev
+polynomials when phi has no harmonic above 1; its own error count (in
+``series._stepped_tails``) is at most 135 eps per term, inside the same
+tolerance.  A step amplifies rounding by up to b^2 only while the cosine sits
+next to +-1, on chains random words seldom reach, so those chains are tested
+on purpose: constant digit rows that hold the word points near 0, 1/2 or 1.
 """
 
 import copy
@@ -136,6 +143,73 @@ def test_random_tails_match_oracle_on_replayed_digits(data):
         assert abs(g - oracle(p, pts[i // per], word)) <= tol(p, 0)
 
 
+class FixedDigits:
+    """Stands in for the Generator of ``random_tail_series``: row n of the
+    tails is the constant digits[n]."""
+
+    def __init__(self, digits):
+        self.rows = iter(digits)
+
+    def integers(self, low, high, size):
+        return np.full(size, next(self.rows), dtype=np.int64)
+
+
+#: Base points for the stepping chains: 0, a tiny x, next to 1/2 and 1, then
+#: seeded points near 0, near 1/2 and anywhere, where cosine rounding varies.
+EDGE_POINTS = np.concatenate([
+    [0.0, 1e-9, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 1.0 - 1e-9],
+    np.random.default_rng(7).uniform(0.0, 0.01, 24),
+    np.random.default_rng(8).uniform(0.49, 0.51, 24),
+    np.random.default_rng(9).uniform(0.0, 1.0, 24),
+])
+#: phi with a constant, a cosine and a sine term: the stepped kernel's cosine and
+#: sine chains both count.
+HARMONIC_1 = PeriodicFn((0.25, 1.0), (0.0, -0.75))
+DEGREE_3 = PeriodicFn((0.25, 1.0, -0.5, 0.125), (0.0, 0.5, 0.25, -0.375))
+DEPTH = 40
+
+
+def constant_rows(b: int):
+    """Digit rows that pin the word points near 1 (all b - 1), near 0 (all 0)
+    and near 1/(b - 1) (all 1): 1/2 at b = 3, 1/3 at b = 4."""
+    return [(d,) * DEPTH for d in sorted({0, 1, b - 1})]
+
+
+def test_stepped_tails_match_oracle_where_steps_amplify_rounding():
+    for b in (2, 3, 4):
+        for gamma in (0.05, 0.5, 0.95):
+            p = SystemParams(b, gamma, HARMONIC_1)
+            for digits in constant_rows(b):
+                got = random_tail_series(p, EDGE_POINTS, DEPTH, 1, FixedDigits(digits))
+                word = Word(digits, b)
+                for x, g in zip(EDGE_POINTS, got[:, 0]):
+                    assert abs(g - oracle(p, x, word)) <= tol(p, 0), (b, gamma, digits[0], x)
+
+
+def test_stepped_tails_match_mpmath_at_depth_40():
+    points = EDGE_POINTS[::4]
+    for b in (2, 3, 4):
+        for gamma in (0.05, 0.95):
+            p = SystemParams(b, gamma, HARMONIC_1)
+            for digits in constant_rows(b):
+                got = random_tail_series(p, points, DEPTH, 1, FixedDigits(digits))
+                for x, g in zip(points, got[:, 0]):
+                    exact = mp_partial_sums(p, float(x), digits, 0)[-1]
+                    assert abs(g - float(exact)) <= tol(p, 0), (b, gamma, digits[0], x)
+
+
+def test_unstepped_phis_match_oracle_on_the_same_chains():
+    """phi of degree >= 2 keeps the per-digit kernel; constant phi sums no trig."""
+    for b in (2, 3, 4):
+        for phi in (PeriodicFn.constant(-0.625), DEGREE_3):
+            p = SystemParams(b, 0.5, phi)
+            for digits in constant_rows(b):
+                got = random_tail_series(p, EDGE_POINTS, DEPTH, 1, FixedDigits(digits))
+                word = Word(digits, b)
+                for x, g in zip(EDGE_POINTS, got[:, 0]):
+                    assert abs(g - oracle(p, x, word)) <= tol(p, 0), (b, phi, digits[0], x)
+
+
 def mp_partial_sums(p: SystemParams, x: float, digits, k: int) -> list:
     """Partial sums S_1, S_2, ... of the order-k series in 50-digit mpmath:
     phi^(k)(tau) = sum_n (2 pi n)^k (a_n cos + b_n sin)(2 pi n tau + k pi / 2)."""
@@ -154,10 +228,9 @@ def mp_partial_sums(p: SystemParams, x: float, digits, k: int) -> list:
 
 
 def test_series_matches_mpmath_at_depth_40():
-    degree3 = PeriodicFn((0.25, 1.0, -0.5, 0.125), (0.0, 0.5, 0.25, -0.375))
     rng = np.random.default_rng(40)
     for b, gamma in ((2, 0.4), (3, 0.55)):
-        for phi in (PeriodicFn.cosine(), degree3):
+        for phi in (PeriodicFn.cosine(), DEGREE_3):
             p = SystemParams(b, gamma, phi)
             depth = p.truncation_depth
             assert depth < 40
