@@ -11,11 +11,9 @@ porosity, transversality, and partition entropy limits.
 from .dynamics import attractor_points
 from .entropy import (
     EntropyProfile,
-    GrowthRecord,
     PorosityReport,
     dimension_estimate,
     entropy,
-    entropy_growth_experiment,
     porosity_fraction,
 )
 from .fractal import (
@@ -57,12 +55,10 @@ from .partitions import (
 from .periodic import PeriodicFn, cohomological_phi, eval_deriv, sup_norm
 from .separation import (
     GENERIC_BASE_POINT,
-    DerivativeSeparation,
     DichotomyVerdict,
     SeparationScan,
     TransversalityCertificate,
     condition_H_scan,
-    derivative_separation,
     exp_separation_scan,
     min_gap,
     transversality_search,

@@ -5,8 +5,11 @@ Every budget an experiment reads is declared once, with its default, in
 experiment needs, in ``WINDOWS``; building a ``RunConfig`` rejects an
 undeclared name, a non-integral value for an integer budget or a window too
 narrow for a listed experiment, before any experiment starts; reading one
-from JSON also refuses a non-integral base, seed or harmonic index, and a
-``phi`` entry that is not a [k, a_k, b_k] list of numbers.
+from JSON also refuses a field of the wrong JSON type (the document,
+``system`` and ``budgets`` are objects, ``experiments`` a list of strings,
+``outdir`` a string, ``gamma`` and ``truncation_tol`` numbers), a
+non-integral base, seed or harmonic index, and a ``phi`` entry that is not a
+[k, a_k, b_k] list of numbers.
 Each experiment returns its summary and its files (CSV tables, and a PGM
 raster for renders) as bytes, and only then are they written, with a
 ``summary.txt`` of sorted ``key: value`` lines, to ``<outdir>/<experiment>/``:
@@ -128,21 +131,33 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        doc = json.loads(text)
-        sysdoc = doc["system"]
+        doc = _typed("the config", json.loads(text), dict, "a JSON object")
+        sysdoc = _typed("system", doc["system"], dict, "a JSON object")
         params = SystemParams(
             b=_integer("b", sysdoc["b"]),
-            gamma=float(sysdoc["gamma"]),
+            gamma=float(_typed("gamma", sysdoc["gamma"], (int, float), "a number")),
             phi=PeriodicFn.from_triples(_phi_triples(sysdoc.get("phi", []))),
-            truncation_tol=float(sysdoc.get("truncation_tol", 1e-9)),
+            truncation_tol=float(
+                _typed("truncation_tol", sysdoc.get("truncation_tol", 1e-9), (int, float), "a number")
+            ),
         )
+        names = doc.get("experiments", [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"experiments must be a list of strings, got {names!r}")
         return cls(
             params=params,
-            experiments=tuple(doc.get("experiments", [])),
+            experiments=tuple(names),
             seed=_integer("seed", doc.get("seed", 0)),
-            budgets={str(k): v for k, v in doc.get("budgets", {}).items()},
-            outdir=str(doc.get("outdir", "out")),
+            budgets=dict(_typed("budgets", doc.get("budgets", {}), dict, "a JSON object")),
+            outdir=_typed("outdir", doc.get("outdir", "out"), str, "a string"),
         )
+
+
+def _typed(name: str, v, kind, what: str):
+    """A config field of JSON type ``kind``, else refused by name (a bool is no number)."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+    return v
 
 
 def _integer(name: str, v) -> int:
@@ -449,7 +464,7 @@ def main(argv=None) -> int:
             outdir=cfg.outdir if args.outdir is None else args.outdir,
         )
         results = run_experiment(cfg)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for name, summary in results.items():

@@ -1,5 +1,5 @@
-"""Multiscale entropy, the entropy-slope dimension estimator, porosity
-statistics, and convolution entropy-growth experiments.
+"""Multiscale entropy, the entropy-slope dimension estimator and porosity
+statistics.
 
 All entropies are Shannon entropies over b-adic partitions in base-b
 logarithms, so a measure filling one unit cell satisfies 0 <= H(level n) <= n
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteMeasure, convolve
+from .measures import DiscreteMeasure
 
 
 def _entropy_of_weights(w: np.ndarray, b: int) -> float:
@@ -144,36 +144,3 @@ def porosity_fraction(
         per_level=tuple(per_level),
     )
 
-
-# ---------------------------------------------------------------------------
-# convolution entropy growth
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthRecord:
-    H_tau: float
-    H_conv: float
-    gain: float
-    n: int
-    k: int
-
-
-def entropy_growth_experiment(
-    theta: DiscreteMeasure, tau: DiscreteMeasure, n: int, k: int
-) -> GrowthRecord:
-    """Per-scale entropy gain of tau under convolution with theta.
-
-    Both supports must fit in an interval of length b^-n; the gain is
-    (H(theta * tau) - H(tau)) / k at level n + k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    bound = float(theta.b) ** (-n) * (1 + 1e-12)
-    if theta.support_diameter() > bound or tau.support_diameter() > bound:
-        raise ValueError("supports must have diameter <= b^-n")
-    if tau.level < n + k or theta.level < n + k:
-        raise ValueError("operands must be resolved to level n + k")
-    H_tau = entropy(tau, n + k)
-    conv = convolve(theta, tau, n + k)
-    H_conv = _entropy_of_weights(conv.weights, conv.b)
-    return GrowthRecord(H_tau=H_tau, H_conv=H_conv, gain=(H_conv - H_tau) / k, n=n, k=k)

@@ -227,6 +227,10 @@ def attractor_box_count(
 # Weierstrass-type graphs
 # ---------------------------------------------------------------------------
 
+#: A Weierstrass series stops before its first term with lam^n sup|psi| <= this.
+WEIERSTRASS_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class WeierstrassGraph:
     xs: np.ndarray
@@ -237,13 +241,12 @@ class WeierstrassGraph:
     terms: int
 
 
-def weierstrass_graph(
-    psi: PeriodicFn, lam: float, b: int, resolution: int, tol: float = 1e-8
-) -> WeierstrassGraph:
+def weierstrass_graph(psi: PeriodicFn, lam: float, b: int, resolution: int) -> WeierstrassGraph:
     """Sample the graph of sum_n lam^n psi(b^n x) on [0, 1).
 
-    The series is truncated once lam^n sup|psi| drops below tol (raising past
-    512 terms); the predicted graph dimension is 2 + log(lam) / log(b).
+    The series is truncated once lam^n sup|psi| drops below
+    ``WEIERSTRASS_TOL`` (raising past 512 terms); the predicted graph
+    dimension is 2 + log(lam) / log(b).
     """
     if b < 2:
         raise ValueError("b must be an integer >= 2")
@@ -252,10 +255,10 @@ def weierstrass_graph(
     m = sup_norm(psi, 0)
     terms = 1
     amp = lam * m
-    while amp > tol:
+    while amp > WEIERSTRASS_TOL:
         if terms == 512:
             raise ValueError(
-                f"lambda={lam} needs more than 512 terms to reach tol={tol}: the dropped "
+                f"lambda={lam} needs more than 512 terms to reach tol={WEIERSTRASS_TOL}: the dropped "
                 f"tail at 512 terms is {amp / (1.0 - lam):.3g}"
             )
         amp *= lam

@@ -88,7 +88,7 @@ class _Hist:
     stream order.  ``items``, the caller's total item count, sets the bound
     on the dense window's span."""
 
-    def __init__(self, items: int = 0):
+    def __init__(self, items: int):
         self.items = items
         self.lo = 0
         self.acc = np.zeros(0)  # sums over cells lo .. lo + len(acc) - 1
@@ -166,21 +166,12 @@ class DiscreteMeasure:
 
     # ------------------------------------------------------------ builders
     @classmethod
-    def from_cells(cls, b: int, level: int, indices, weights) -> "DiscreteMeasure":
-        _check_level(b, level)
-        return cls(b, level, np.asarray(indices), np.asarray(weights))
-
-    @classmethod
     def from_values(cls, b: int, level: int, values, weights=None) -> "DiscreteMeasure":
         _check_level(b, level)
         values = np.asarray(values, dtype=float)
         if weights is None:
             weights = np.full(values.shape, 1.0 / values.size)
         return cls(b, level, bin_index(values, b, level), np.asarray(weights, dtype=float))
-
-    @classmethod
-    def dirac(cls, b: int, level: int, value: float) -> "DiscreteMeasure":
-        return cls.from_values(b, level, np.array([value]), np.array([1.0]))
 
     @classmethod
     def uniform_unit(cls, b: int, level: int) -> "DiscreteMeasure":
@@ -190,16 +181,8 @@ class DiscreteMeasure:
         return cls(b, level, np.arange(n, dtype=np.int64), np.full(n, 1.0 / n))
 
     # ----------------------------------------------------------- accessors
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def midpoints(self) -> np.ndarray:
         return (self.indices + 0.5) / float(self.b) ** self.level
-
-    def support_diameter(self) -> float:
-        w = float(self.b) ** (-self.level)
-        return float((self.indices[-1] - self.indices[0] + 1) * w)
 
     def coarsen(self, level: int) -> "DiscreteMeasure":
         if level > self.level:

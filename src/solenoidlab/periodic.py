@@ -61,10 +61,6 @@ class PeriodicFn:
         return cls((0.0,), (0.0,))
 
     @classmethod
-    def constant(cls, c: float) -> "PeriodicFn":
-        return cls((float(c),), (0.0,))
-
-    @classmethod
     def cosine(cls, amplitude: float = 1.0, harmonic: int = 1) -> "PeriodicFn":
         """amplitude * cos(2 pi harmonic x)."""
         a = [0.0] * (harmonic + 1)
@@ -99,9 +95,6 @@ class PeriodicFn:
             for k in range(len(self.a))
             if self.a[k] != 0.0 or self.b[k] != 0.0
         ]
-
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.a) and all(v == 0.0 for v in self.b)
 
 
 def _deriv_coeffs(f: PeriodicFn, order: int) -> tuple[np.ndarray, np.ndarray]:

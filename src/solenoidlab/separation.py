@@ -2,12 +2,11 @@
 
 These produce numeric verdicts with explicit error budgets: a degeneracy /
 non-degeneracy dichotomy scan over word pairs, exponential-separation scans
-of finite value sets, derivative separation over orders, and a certified
-search for prefix pairs with uniformly large and uniformly distinct fiber
-derivatives.  Certificates carry every input needed for replay, and interval
-lower bounds are always grid minima minus a Lipschitz modulus derived from
-certified sup-norms, so a reported bound is a true bound for the scanned
-quantity.
+of finite value sets, and a certified search for prefix pairs with uniformly
+large and uniformly distinct fiber derivatives.  Certificates carry every
+input needed for replay, and interval lower bounds are always grid minima
+minus a Lipschitz modulus derived from certified sup-norms, so a reported
+bound is a true bound for the scanned quantity.
 """
 
 from __future__ import annotations
@@ -18,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic import sup_norm
-from .series import DEFAULT_CHUNK_CAP, eval_S_deriv, series_fixed_word, series_over_prefixes
+from .series import (
+    DEFAULT_CHUNK_CAP,
+    eval_S_deriv,  # noqa: F401 - perfbench/layers.py wraps this name
+    series_fixed_word,
+    series_over_prefixes,
+)
 from .words import SystemParams, Word, max_level, nhat
 
 #: A generic irrational base point used wherever one representative x is needed.
@@ -139,37 +143,6 @@ def exp_separation_scan(
 
 
 # ---------------------------------------------------------------------------
-# derivative separation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DerivativeSeparation:
-    k_best: int
-    value: float
-    per_order: tuple[float, ...]
-
-
-def derivative_separation(
-    params: SystemParams, x: float, i: Word, j: Word, qmax: int
-) -> DerivativeSeparation:
-    """Largest derivative-order gap |S^(k)(x, i) - S^(k)(x, j)|, k <= qmax.
-
-    Both words are extended with the digit 0 to the truncation depth.
-    Ties prefer the smallest order.
-    """
-    if len(i) == 0 or len(j) == 0 or i.digits[0] == j.digits[0]:
-        raise ValueError("words must differ in their first digit")
-    depth = params.truncation_depth
-    i, j = (Word(w.digits + (0,) * (depth - len(w)), w.b) for w in (i, j))
-    vals = []
-    for k in range(qmax + 1):
-        vals.append(abs(eval_S_deriv(params, x, i, k) - eval_S_deriv(params, x, j, k)))
-    arr = np.asarray(vals)
-    k_best = int(np.argmax(arr))
-    return DerivativeSeparation(k_best=k_best, value=float(arr[k_best]), per_order=tuple(vals))
-
-
-# ---------------------------------------------------------------------------
 # degeneracy dichotomy
 # ---------------------------------------------------------------------------
 
@@ -195,12 +168,15 @@ def condition_H_scan(
     params: SystemParams,
     x_grid_size: int = 64,
     word_depth: int = 12,
-    budget: int = DEFAULT_CHUNK_CAP,
 ) -> DichotomyVerdict:
     """Scan sup over an x-grid and all depth-limited word pairs with
-    differing first digit of |S(x, i) - S(x, j)|."""
+    differing first digit of |S(x, i) - S(x, j)|.
+
+    The depth is ``word_depth``, capped so that the b^depth values of one
+    grid point fit ``DEFAULT_CHUNK_CAP``.
+    """
     b = params.b
-    depth = min(word_depth, max_level(b, budget))
+    depth = min(word_depth, max_level(b, DEFAULT_CHUNK_CAP))
     grid = (np.arange(x_grid_size) + 0.5) / x_grid_size
     sup_gap = -math.inf
     wit = None

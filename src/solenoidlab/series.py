@@ -13,7 +13,7 @@ and the series obeys the cocycle identity
 Order-k derivatives in x pick up an extra b^{-nk} per term.  ``eval_S_deriv``
 evaluates finite words exactly; an infinite word stands in as its prefix of
 the system's truncation depth, and ``SystemParams.tail_bound`` bounds the
-dropped tail.
+dropped tail of S itself (order 0).
 
 Every exact bulk evaluation runs one append kernel, ``_append_series``: from
 base points tau it applies tau <- (tau + d) / b per digit row d and adds

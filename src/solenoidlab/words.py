@@ -44,10 +44,6 @@ class Word:
         return cls((), b)
 
     @classmethod
-    def from_string(cls, s: str, b: int) -> "Word":
-        return cls(tuple(int(ch) for ch in s), b)
-
-    @classmethod
     def from_code(cls, code: int, length: int, b: int) -> "Word":
         """Inverse of :meth:`code` for a fixed length."""
         if code < 0 or code >= b**length:
@@ -146,11 +142,10 @@ class SystemParams:
             p += 1
         return p
 
-    def tail_bound(self, depth: int, order: int = 0) -> float:
-        """Certified bound for the dropped tail of the (order-th derivative
-        of the) word series after ``depth`` evaluated digits."""
-        r = self.gamma / self.b**order
-        return sup_norm(self.phi, order) * r**depth * self.b ** (-order) / (1.0 - r)
+    def tail_bound(self, depth: int) -> float:
+        """Certified bound sup|phi| gamma^depth / (1 - gamma) for the dropped
+        tail of the word series after ``depth`` evaluated digits."""
+        return sup_norm(self.phi, 0) * self.gamma**depth / (1.0 - self.gamma)
 
     @property
     def log_b_inv_gamma(self) -> float:

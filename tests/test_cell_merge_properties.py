@@ -46,7 +46,7 @@ def test_hist_over_chunks_equals_stream_order_oracle(stream, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(idx)), max_size=6)))
     pieces = np.split(np.arange(len(idx)), cuts)
     pieces.insert(data.draw(st.integers(0, len(pieces))), np.arange(0))
-    hist = _Hist()
+    hist = _Hist(0)
     for sl in pieces:
         hist.add(idx[sl], w[sl])
     want_idx, want_w = oracle(idx, w)

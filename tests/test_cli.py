@@ -98,6 +98,42 @@ def test_malformed_phi_entry_exits_2_naming_the_entry(tmp_path, capsys, phi, mes
     assert not (tmp_path / "out").exists()
 
 
+SYSTEM = {"b": 2, "gamma": 0.4, "phi": [[1, 1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "the config must be a JSON object, got []"),
+        ({"system": []}, "system must be a JSON object, got []"),
+        ({"system": SYSTEM, "budgets": [1]}, "budgets must be a JSON object, got [1]"),
+        ({"system": SYSTEM, "experiments": [["render"]]}, "experiments must be a list of strings, got [["),
+        ({"system": SYSTEM, "experiments": "render"}, "experiments must be a list of strings, got 'render'"),
+        ({"system": SYSTEM, "outdir": None}, "outdir must be a string, got None"),
+        ({"system": {**SYSTEM, "gamma": True}}, "gamma must be a number, got True"),
+        ({"system": {**SYSTEM, "gamma": "0.4"}}, "gamma must be a number, got '0.4'"),
+        ({"system": {**SYSTEM, "truncation_tol": True}}, "truncation_tol must be a number, got True"),
+    ],
+)
+def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, doc, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_error_exits_2_before_any_folder(tmp_path, capsys, monkeypatch):
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 512. TiB for an array")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "weierstrass", too_large)
+    assert main(["weierstrass", "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 512. TiB for an array\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_dichotomy_check_degenerate_summary(tmp_path):
     phi = cohomological_phi(PeriodicFn.cosine(), 2, 0.4)
     cfg = RunConfig(

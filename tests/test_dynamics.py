@@ -8,7 +8,7 @@ from solenoidlab.words import SystemParams
 
 def test_constant_phi_fixed_point():
     c, gamma = 1.3, 0.7
-    p = SystemParams(3, gamma, PeriodicFn.constant(c))
+    p = SystemParams(3, gamma, PeriodicFn((c,), ()))
     y_star = c / (1 - gamma)
     ys = np.concatenate([y for _, y in attractor_points(p, 10**4, seed=1)])
     assert np.max(np.abs(ys - y_star)) <= 1e-12

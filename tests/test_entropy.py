@@ -9,7 +9,6 @@ from solenoidlab.entropy import (
     _component_entropies,
     dimension_estimate,
     entropy,
-    entropy_growth_experiment,
     porosity_fraction,
 )
 from solenoidlab.measures import (
@@ -34,10 +33,10 @@ def rand_measure(rng, b=2, level=8, natoms=16, lo=0.0, hi=1.0):
 # ------------------------------------------------------------ plain entropy
 
 def test_entropy_basic_values():
-    assert entropy(DiscreteMeasure.dirac(2, 8, 0.3), 8) == 0.0
+    assert entropy(DiscreteMeasure.from_values(2, 8, [0.3]), 8) == 0.0
     for n in range(1, 11):
         assert entropy(DiscreteMeasure.uniform_unit(2, n), n) == float(n)
-    two = DiscreteMeasure.from_cells(2, 2, [0, 2], [0.5, 0.5])
+    two = DiscreteMeasure(2, 2, [0, 2], [0.5, 0.5])
     assert entropy(two, 2) == pytest.approx(1.0)
 
 
@@ -78,7 +77,7 @@ def test_cond_entropy_component_average_oracle(data):
     cells = st.integers(-(b**level), b**level - 1)
     idx = data.draw(st.lists(cells, min_size=1, max_size=64))
     w = data.draw(st.lists(st.integers(1, 1000), min_size=len(idx), max_size=len(idx)))
-    mu = DiscreteMeasure.from_cells(b, level, idx, w)
+    mu = DiscreteMeasure(b, level, idx, w)
     masses, ents = _component_entropies(mu, i, m)
     parents = mu.coarsen(i)
     assert len(masses) == len(parents.indices)
@@ -144,7 +143,7 @@ def test_convolution_entropy_lower_bound():
 def test_dimension_estimate_lebesgue_and_dirac():
     prof = dimension_estimate(DiscreteMeasure.uniform_unit(2, 10), range(2, 11))
     assert prof.slope == pytest.approx(1.0, abs=0.01)
-    dirac = DiscreteMeasure.dirac(2, 10, 0.42)
+    dirac = DiscreteMeasure.from_values(2, 10, [0.42])
     prof0 = dimension_estimate(dirac, range(2, 11))
     assert prof0.slope == pytest.approx(0.0, abs=1e-9)
 
@@ -165,7 +164,7 @@ def test_profile_increments_monotone_entropies():
 # ----------------------------------------------------------------- porosity
 
 def test_porosity_dirac_components():
-    d = DiscreteMeasure.dirac(2, 12, 0.3)
+    d = DiscreteMeasure.from_values(2, 12, [0.3])
     rep = porosity_fraction(d, 0.0, 0.1, 4, 1, 6)
     assert rep.fraction == pytest.approx(1.0)
     assert rep.verdict
@@ -202,47 +201,3 @@ def test_fiber_measures_are_entropy_porous_at_desk_scale():
         verdicts.append(rep.verdict)
     assert np.mean(verdicts) > 1 - eps
 
-
-# ------------------------------------------------------------ growth record
-
-def _uniform_on_cell(b, level, fine, lo):
-    grid = (np.arange(b ** (fine - level)) + 0.5) / b**fine
-    return DiscreteMeasure.from_values(b, fine, lo + grid)
-
-
-def test_growth_dirac_theta_is_rebinning_noise():
-    n, k = 4, 6
-    tau = _uniform_on_cell(2, n, n + k, 0.25)
-    theta = DiscreteMeasure.dirac(2, n + k, 0.5)
-    rec = entropy_growth_experiment(theta, tau, n, k)
-    assert abs(rec.gain) <= 2.0 / k
-
-
-def test_growth_uniform_pair_nonnegative():
-    n, k = 4, 6
-    tau = _uniform_on_cell(2, n, n + k, 0.25)
-    theta = _uniform_on_cell(2, n, n + k, 0.5)
-    rec = entropy_growth_experiment(theta, tau, n, k)
-    assert rec.gain >= -1e-9
-
-
-def test_growth_spread_theta_on_porous_tau_gains():
-    p = SystemParams(2, 0.4, PeriodicFn.cosine())
-    n, k = 2, 8
-    fine = n + k
-    mu = build_mx_exact(p, 0.37, fine, 12)
-    # condition the fiber measure on one cell to meet the support precondition
-    coarse = mu.coarsen(n)
-    cell = int(coarse.indices[np.argmax(coarse.weights)])
-    tau = component(mu, BAdicCell(2, n, cell))
-    theta = _uniform_on_cell(2, n, fine, cell * 2.0**-n)
-    rec = entropy_growth_experiment(theta, tau, n, k)
-    assert rec.H_conv / k > 0.2  # theta carries entropy
-    assert rec.gain > 0.0
-
-
-def test_growth_support_guard():
-    tau = _uniform_on_cell(2, 2, 8, 0.25)
-    theta = DiscreteMeasure.from_values(2, 8, np.array([0.1, 0.9]))
-    with pytest.raises(ValueError):
-        entropy_growth_experiment(theta, tau, 2, 6)

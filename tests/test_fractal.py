@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solenoidlab.fractal import (
+    WEIERSTRASS_TOL,
     attractor_box_count,
     box_count_dimension,
     box_count_graph,
@@ -145,9 +146,8 @@ def test_weierstrass_lambda_range_rejected():
 
 
 def test_weierstrass_truncation_tail_below_tol():
-    tol = 1e-8
-    g = weierstrass_graph(COS, 0.5, 3, 256, tol=tol)
-    assert 0.5**g.terms / (1 - 0.5) <= tol * 10
+    g = weierstrass_graph(COS, 0.5, 3, 256)
+    assert 0.5**g.terms / (1 - 0.5) <= WEIERSTRASS_TOL * 10
 
 
 def test_weierstrass_term_cap_raises():

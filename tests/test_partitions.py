@@ -113,7 +113,8 @@ def test_measure_B_single_word_concentrates(cert):
     mu = measure_B(p, one, cert.x0, tail_samples=16, seed=2, level=12)
     head_len = len(xi.suffix) + len(q)
     spread = 2 * p.gamma**head_len * p.fiber_bound
-    assert mu.support_diameter() <= spread + 2 * 2.0**-12
+    diameter = (mu.indices[-1] - mu.indices[0] + 1) * 2.0**-12
+    assert diameter <= spread + 2 * 2.0**-12
 
 
 def test_measure_B_matches_direct_sampling(cert):

@@ -89,7 +89,7 @@ def test_sup_norm_examples():
 
 
 def test_cohomological_phi_zero_input():
-    assert cohomological_phi(PeriodicFn.zero(), 2, 0.4).is_zero()
+    assert cohomological_phi(PeriodicFn.zero(), 2, 0.4).to_triples() == []
 
 
 def test_cohomological_phi_cosine_coefficients():

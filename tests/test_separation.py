@@ -7,7 +7,6 @@ from solenoidlab.periodic import PeriodicFn, cohomological_phi, sup_norm
 from solenoidlab.separation import (
     GENERIC_BASE_POINT,
     condition_H_scan,
-    derivative_separation,
     exp_separation_scan,
     min_gap,
     transversality_search,
@@ -81,47 +80,9 @@ def test_scan_value_sets_live_at_matched_scale():
     p = params()
     scan = exp_separation_scan(p, 0.3, 4, 0.25, [10])
     nh = scan.nhats[0]
-    w = Word.from_string(scan.worst_words[0], 2)
+    w = Word(tuple(int(ch) for ch in scan.worst_words[0]), 2)
     assert scan.min_gaps[0] == pytest.approx(min_gap(p, 0.3, w, nh))
     assert scan.thresholds[0] == pytest.approx(0.25**nh)
-
-
-# ----------------------------------------------------- derivative separation
-
-def test_derivative_separation_zero_phi():
-    p = params(phi=PeriodicFn.zero())
-    rec = derivative_separation(p, 0.3, Word((0,), 2), Word((1,), 2), 4)
-    assert rec.value == 0.0
-
-
-def test_derivative_separation_degenerate_within_tail_budget():
-    psi = PeriodicFn.cosine()
-    p = params(phi=cohomological_phi(psi, 2, 0.4))
-    rec = derivative_separation(p, 0.3, Word((0,), 2), Word((1,), 2), 4)
-    # telescoping: S(x, j) == psi(x) for every j, so all orders nearly vanish
-    depth = p.truncation_depth
-    budget = 2 * (0.4**depth * sup_norm(psi, 0) + p.tail_bound(depth))
-    assert rec.value <= budget * 10
-
-
-def test_derivative_separation_first_digit_guard_and_grid_fixture():
-    p = params()
-    with pytest.raises(ValueError):
-        derivative_separation(p, 0.3, Word((1, 0), 2), Word((1, 1), 2), 4)
-    values = []
-    for x in (np.arange(64) + 0.5) / 64:
-        rec = derivative_separation(p, float(x), Word((0,), 2), Word((1,), 2), 8)
-        values.append(rec.value)
-    assert min(values) > 0.0
-
-
-def test_derivative_separation_suffix_extension_stable():
-    p = params()
-    i, j = Word((0, 1, 1), 2), Word((1, 0, 0), 2)
-    base = derivative_separation(p, 0.3, i, j, 3)
-    ext = Word((1, 0), 2)
-    deeper = derivative_separation(p, 0.3, i.concat(ext), j.concat(ext), 3)
-    assert deeper.value == pytest.approx(base.value, abs=2 * p.tail_bound(3) + 1e-9)
 
 
 # ----------------------------------------------------------------- dichotomy
@@ -174,6 +135,6 @@ def test_transversality_small_prefix_certificate():
 
 
 def test_dichotomy_scan_depth_reaches_exact_power_budget():
-    v = condition_H_scan(SystemParams(3, 0.3, COS), x_grid_size=16, budget=3**10)
+    v = condition_H_scan(SystemParams(3, 0.3, COS), x_grid_size=16, word_depth=10)
     assert v.verdict == "H"
     assert [len(w) for w in v.witness_pair] == [10, 10]

@@ -34,7 +34,7 @@ def test_eval_S_zero_phi():
 
 def test_eval_S_constant_phi_geometric_sum():
     c, gamma, m = 0.8, 0.35, 9
-    p = params(gamma=gamma, phi=PeriodicFn.constant(c))
+    p = params(gamma=gamma, phi=PeriodicFn((c,), ()))
     w = Word((0,) * m, 2)
     assert eval_S(p, 0.2, w) == pytest.approx(c * (1 - gamma**m) / (1 - gamma))
 
@@ -60,7 +60,7 @@ def test_eval_S_deriv_consistency():
     assert eval_S_deriv(p, 0.3, Word((1, 1, 0), 2), 0) == pytest.approx(
         eval_S(p, 0.3, Word((1, 1, 0), 2))
     )
-    pc = params(phi=PeriodicFn.constant(2.0))
+    pc = params(phi=PeriodicFn((2.0,), ()))
     assert eval_S_deriv(pc, 0.3, Word((1, 0), 2), 1) == 0.0
 
 

@@ -34,7 +34,7 @@ def test_digit_validation():
 
 
 def test_string_and_code_round_trips():
-    w = Word.from_string("10210", 3)
+    w = Word((1, 0, 2, 1, 0), 3)
     assert w.to_string() == "10210"
     assert Word.from_code(w.code(), 5, 3) == w
     assert Word((1, 0, 2, 1, 0), 3).code() == 1 + 0 * 3 + 2 * 9 + 1 * 27 + 0 * 81
