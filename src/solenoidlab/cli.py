@@ -5,11 +5,12 @@ Every budget an experiment reads is declared once, with its default, in
 experiment needs, in ``WINDOWS``; building a ``RunConfig`` rejects an
 undeclared name, a non-integral value for an integer budget or a window too
 narrow for a listed experiment, before any experiment starts; reading one
-from JSON also refuses a field of the wrong JSON type (the document,
-``system`` and ``budgets`` are objects, ``experiments`` a list of strings,
-``outdir`` a string, ``gamma`` and ``truncation_tol`` numbers), a
-non-integral base, seed or harmonic index, and a ``phi`` entry that is not a
-[k, a_k, b_k] list of numbers.
+from JSON also refuses a missing ``system``, ``b`` or ``gamma`` by name, a
+field of the wrong JSON type (the document, ``system`` and ``budgets`` are
+objects, ``experiments`` a list of strings, ``outdir`` a string, ``gamma``
+and ``truncation_tol`` numbers), a non-integral base, seed or harmonic
+index, and a ``phi`` entry that is not a [k, a_k, b_k] list of numbers (a
+JSON bool is no number).
 Each experiment returns its summary and its files (CSV tables, and a PGM
 raster for renders) as bytes, and only then are they written, with a
 ``summary.txt`` of sorted ``key: value`` lines, to ``<outdir>/<experiment>/``:
@@ -132,10 +133,10 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         doc = _typed("the config", json.loads(text), dict, "a JSON object")
-        sysdoc = _typed("system", doc["system"], dict, "a JSON object")
+        sysdoc = _typed("system", _required(doc, "system", "the config"), dict, "a JSON object")
         params = SystemParams(
-            b=_integer("b", sysdoc["b"]),
-            gamma=float(_typed("gamma", sysdoc["gamma"], (int, float), "a number")),
+            b=_integer("b", _required(sysdoc, "b", "system")),
+            gamma=float(_typed("gamma", _required(sysdoc, "gamma", "system"), (int, float), "a number")),
             phi=PeriodicFn.from_triples(_phi_triples(sysdoc.get("phi", []))),
             truncation_tol=float(
                 _typed("truncation_tol", sysdoc.get("truncation_tol", 1e-9), (int, float), "a number")
@@ -151,6 +152,13 @@ class RunConfig:
             budgets=dict(_typed("budgets", doc.get("budgets", {}), dict, "a JSON object")),
             outdir=_typed("outdir", doc.get("outdir", "out"), str, "a string"),
         )
+
+
+def _required(doc: dict, name: str, where: str):
+    """A config field that has no default, else refused by name."""
+    if name not in doc:
+        raise ValueError(f"{where} is missing the required field {name}")
+    return doc[name]
 
 
 def _typed(name: str, v, kind, what: str):
@@ -175,11 +183,9 @@ def _phi_triples(entries) -> list[tuple[int, float, float]]:
     for i, e in enumerate(entries):
         if not isinstance(e, list) or len(e) != 3:
             raise ValueError(f"phi entry {i} must be a [k, a_k, b_k] list, got {e!r}")
-        try:
-            a, b = float(e[1]), float(e[2])
-        except (TypeError, ValueError):
-            raise ValueError(f"phi entry {i} coefficients must be numbers, got {e!r}") from None
-        out.append((_integer("phi harmonic index", e[0]), a, b))
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in e[1:]):
+            raise ValueError(f"phi entry {i} coefficients must be numbers, got {e!r}")
+        out.append((_integer("phi harmonic index", e[0]), float(e[1]), float(e[2])))
     return out
 
 

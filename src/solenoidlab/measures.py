@@ -4,14 +4,18 @@ A measure lives at a fixed level n: mass sits on cells [j/b^n, (j+1)/b^n),
 stored as a sorted table of int64 cell indices with positive weights that
 sum to one.  Levels are capped so that index arithmetic stays exact in
 float64 (b^level <= 2^45).  ``_Hist`` is the one rule that accumulates
-(index, weight) chunks; ``_merge_cells`` is its one-chunk case.  ``np.add.at``
-adds each cell's weights in stream order, so a table is independent of how its
-stream is chunked, and zero-weight cells are kept.  While the index span is at
-most 2 * items + 1024 (items: the caller's declared total) the table is a
-dense window of sums plus an occupancy mask, and a chunk costs O(chunk); a
-regrown window takes a margin of 1/16 of its old span on each side that grew.
+(index, weight) chunks; ``_merge_cells`` is its one-chunk case.  Its callers
+are the sampled builder, ``mix``, ``convolve`` and the exact builder, which
+feeds it the word counts of ``series._fiber_cells`` (whole numbers, so their
+sums are exact) and divides by b^depth once.  ``np.add.at`` adds each
+cell's weights in stream order, so a table is independent of how its stream
+is chunked, and zero-weight cells are kept.  While the index span is at most
+2 * items + 1024 (items: the caller's declared total) the table is a dense
+window of sums plus an occupancy mask, and a chunk costs O(chunk); a regrown
+window takes a margin of 1/16 of its old span on each side that grew.
 A wider span falls back to the sorted merge, which re-sorts with every chunk.
-``WORK_BUDGET`` caps the b^depth words an exact build enumerates and
+``WORK_BUDGET`` caps the b^depth words an exact build stands for, whole
+subtrees of which it may count without evaluating them, and
 ``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once.
 ``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
 is its one-head case; ``partitions.measure_B`` passes one head per word of a
@@ -37,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic import eval as phi_eval  # noqa: F401 - perfbench/layers.py wraps this name
-from .series import DEFAULT_CHUNK_CAP, eval_S, iter_series_all_words, random_tail_series
-from .words import BIN_CAP, SystemParams, Word, max_level
+from .series import DEFAULT_CHUNK_CAP, _fiber_cells, eval_S, random_tail_series
+from .series import iter_series_all_words  # noqa: F401 - perfbench/layers.py wraps this name
+from .words import BIN_CAP, SystemParams, Word, bin_index, max_level
 
 WORK_BUDGET = 10**8
 _CHUNK = 1 << 20
@@ -51,11 +56,6 @@ class BAdicCell:
     b: int
     level: int
     index: int
-
-
-def bin_index(values, b: int, level: int) -> np.ndarray:
-    """Indices of the level-``level`` b-adic cells holding the values."""
-    return np.floor(np.asarray(values, dtype=float) * float(b) ** level).astype(np.int64)
 
 
 def sorted_unique(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
@@ -262,10 +262,16 @@ def build_mx_exact(
     level: int,
     depth: int,
 ) -> DiscreteMeasure:
-    """Exact enumeration of all b^depth words with uniform weights.
+    """The b^depth words with uniform weights, each in the cell of its
+    series value: the histogram of ``iter_series_all_words``, cell for cell.
 
-    Equals the true fiber measure up to the series tail bound
-    gamma^depth sup|phi| / (1 - gamma) in Levy distance.
+    ``series._fiber_cells`` counts the words per cell by a walk down the
+    word tree that settles a whole subtree once its tail bound fits in one
+    cell, so a build evaluates far fewer than b^depth values when b gamma < 1.
+    Weights are the counts over b^depth, rounded once: at b = 2 they equal the
+    running sums of 2^-depth bit for bit.  Equals the true fiber measure up to
+    the series tail bound gamma^depth sup|phi| / (1 - gamma) in Levy
+    distance.
     """
     _check_level(params.b, level)
     if depth < 1:
@@ -274,9 +280,10 @@ def build_mx_exact(
         raise ValueError(f"b^depth = {params.b**depth} exceeds the work budget {WORK_BUDGET}")
     total = params.b**depth
     hist = _Hist(total)
-    for block in iter_series_all_words(params, x, depth):
-        hist.add(bin_index(block, params.b, level), 1.0 / total)
-    return DiscreteMeasure(params.b, level, hist.idx, hist.w)
+    for cells, words in _fiber_cells(params, x, level, depth):
+        hist.add(cells, float(words))  # whole numbers: the sums are exact
+        del cells  # not kept while the walk computes the next slice
+    return DiscreteMeasure(params.b, level, hist.idx, hist.w / total)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ Every exact bulk evaluation runs one append kernel, ``_append_series``: from
 base points tau it applies tau <- (tau + d) / b per digit row d and adds
 c phi^(k)(tau), with c shrinking by gamma b^-k per digit.  The callers differ
 only in where the digits come from: a fixed word (``series_fixed_word``), the
-digits of explicit codes (``series_at_codes``), or a common suffix or the high
+digits of explicit codes (``series_at_codes``), a common suffix or the high
 digits of an enumeration chunk, appended to prefix word points
 (``series_over_prefixes``, ``iter_series_all_words``).  Digit rows broadcast
 against tau: suffix rows given as columns of shape (r, 1) make
 ``series_over_prefixes`` return one row of values per suffix, all appended to
-one prefix tile.
+one prefix tile.  The word-tree walk of ``_fiber_cells`` takes the kernel's
+step inline past the chunk seam, one digit per level for the nodes it keeps.
 
 Seeded uniform tails (``random_tail_series``) feed their rows to the same
 kernel, except where phi has no harmonic above 1 and b <= 4.  There
@@ -40,6 +41,14 @@ word points of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1
 so level n costs one phi evaluation on b^n points, about b/(b-1) b^n points
 in all against n b^n for appending per word.
 
+Three enumerators cover all b^depth words at a base point.
+``series_over_prefixes`` returns every value of one tile;
+``iter_series_all_words`` yields them all in code order, chunked at the seam
+t = max_level(b, DEFAULT_CHUNK_CAP), and is the oracle of the third;
+``_fiber_cells``, behind ``measures.build_mx_exact``, computes the same values
+by the same float operations but only down to the depth at which the tail
+bound fixes a subtree's cell, and yields cells with the words each stands for.
+
 ``eval_S_deriv`` stays a scalar loop over Python floats and shares only the
 phi kernel ``periodic.eval_deriv`` with the bulk path, so it serves as the
 reference oracle for the append recursion; the phi kernel itself is checked
@@ -54,7 +63,7 @@ from typing import Iterator
 import numpy as np
 
 from .periodic import PeriodicFn, eval_deriv
-from .words import SystemParams, Word, max_level
+from .words import SystemParams, Word, bin_index, max_level
 
 #: Largest array a bulk enumeration materializes at once.
 DEFAULT_CHUNK_CAP = 1 << 22
@@ -166,6 +175,104 @@ def iter_series_all_words(
     for high in range(b ** (depth - t)):
         digits = Word.from_code(high, depth - t, b).digits
         yield A + _append_series(params, pts, digits, 0, params.gamma**t)
+
+
+def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield (cells, words): level-``level`` b-adic cells that S(x, j) meets
+    over the words j of Lambda^depth, each entry standing for ``words`` words.
+    Summed per cell, the words give the histogram of ``iter_series_all_words``.
+
+    A walk down the word tree, with every value computed by the float
+    operations of ``iter_series_all_words``.  Before the chunk seam
+    t = max_level(b, DEFAULT_CHUNK_CAP) a node of length n is a code m with
+    its tile value A_n; a child takes code m + d b^n, word point
+    (x + m') / b^(n+1) and A_n + c phi, c by the tile's repeated product.  Past
+    the seam a node keeps A_t and appends by ``_append_series``'s steps, its
+    value A_t + O_n.  A node whose value v has bin_index(v - r_n) ==
+    bin_index(v + r_n), r_n = tail_bound(n) + slack, is settled: its
+    b^(depth-n) words go to that cell and it is dropped.  Every word below it
+    ends at a value V with |V - v| <= r_n, so fl(v - r_n) <= V <= fl(v + r_n),
+    and floor(fl(V b^level)) is monotone in V: the words per cell are exactly
+    those of binning all b^depth values.  The other nodes are binned at the
+    leaves.
+
+    Cost rule: settling compacts the node arrays, which costs more than it
+    saves while most nodes survive (b gamma > 1).  So a level settles its
+    nodes only when the settled ones are the majority; until then the walk
+    keeps every node, which is the tile recursion itself.  Past the seam the
+    nodes go in slices of max(1, b^(2t - depth)), so no level of a slice
+    materializes more values than one chunk of ``iter_series_all_words``
+    while depth <= 2t, as ``measures.WORK_BUDGET`` ensures, and the slices
+    yield no more often than its chunks.
+
+    The slack bounds the rounding between v and V.  Let u = eps / 2,
+    F = fiber_bound, T_n the exact tail sup|phi| gamma^n / (1 - gamma), and
+    k <= 2 degree + 1 the terms of one phi evaluation.
+    - A computed phi value is at most sup|phi| (1 + u)^k: |cos|, |sin| <= 1
+      in floats, and each product and sum rounds once.
+    - The coefficient of term j is at most gamma^(j-1) (1 + u)^(j+1), by
+      repeated products or gamma^t by pow; so the computed terms after n sum
+      to at most T_n (1 + u)^(depth + k + 2).
+    - tail_bound(n) rounds within (k + 6) u of T_n, relatively.
+    - At most depth - n + 2 rounded additions lie between v and V (the
+      walk's, plus A_t + O at both ends past the seam), each off by u times
+      a partial sum, at most 1.01 u F.
+    So |V - v| <= tail_bound(n) + 1.01 (depth + k + 5) eps F, and the slack
+    4 (depth + 2 degree + 4) eps F is at least twice that.
+    """
+    b, gam, phi = params.b, params.gamma, params.phi
+    t = min(depth, max_level(b, DEFAULT_CHUNK_CAP))
+    slack = 4.0 * (depth + 2 * phi.degree + 4) * np.finfo(float).eps * params.fiber_bound
+    scale = float(b) ** level
+
+    def radius(n):
+        return params.tail_bound(n) + slack
+
+    def prune(n, v, arrays):
+        """Yield the settled nodes' cells; return the arrays of the others."""
+        r = radius(n)
+        lo = bin_index(v - r, b, level)
+        settled = lo == bin_index(v + r, b, level)
+        if 2 * np.count_nonzero(settled) <= len(v):  # most survive: keep tiling
+            return arrays
+        yield lo[settled], b ** (depth - n)
+        return [a[~settled] for a in arrays]
+
+    # the first length at which one cell can hold a node's whole radius
+    first = next((n for n in range(depth) if 2.0 * radius(n) * scale < 1.0), depth)
+    n = min(first, t)
+    A = series_over_prefixes(params, x, n)
+    codes = np.arange(b**n)
+    coef = 1.0
+    for _ in range(n):
+        coef *= gam
+    while n < t:
+        A, codes = yield from prune(n, A, [A, codes])
+        codes = (codes + b**n * np.arange(b)[:, None]).ravel()
+        n += 1
+        A = np.tile(A, b)
+        A += coef * eval_deriv(phi, (x + codes) / float(b**n), 0)
+        coef *= gam
+    tau = (x + codes) / float(b**t)
+    del codes
+    step = b ** max(0, 2 * t - depth)
+    for start in range(0, len(A), step):
+        base, tau_s = A[start:start + step], tau[start:start + step]
+        out, coef = np.zeros(len(base)), gam**t
+        for n in range(t, depth):
+            if n >= first:
+                base, tau_s, out = yield from prune(n, base + out, [base, tau_s, out])
+            tau_s = np.add(tau_s, np.arange(b)[:, None]).ravel()
+            tau_s /= b
+            term = eval_deriv(phi, tau_s, 0)
+            term *= coef
+            base, out = np.tile(base, b), np.tile(out, b)
+            out += term
+            del term
+            coef *= gam
+        out += base  # the value A_t + O of each leaf
+        del base, tau_s  # not kept while the leaves are counted
+        yield bin_index(out, b, level), 1
 
 
 def random_tail_series(

@@ -1,4 +1,4 @@
-"""Digit words over {0..b-1}, system parameters, and the scale map.
+"""Digit words over {0..b-1}, system parameters, the scale map and b-adic cells.
 
 Words are the symbolic addresses of fiber points: the word ``j_1 j_2 ... j_n``
 over base b names the point ``(x + j_1 + j_2 b + ... + j_n b^{n-1}) / b^n``,
@@ -12,10 +12,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .periodic import PeriodicFn, sup_norm
 
 #: Largest b^level at which b-adic cell indices stay exact in float64.
 BIN_CAP = 2**45
+
+
+def bin_index(values, b: int, level: int) -> np.ndarray:
+    """Indices of the level-``level`` b-adic cells holding the values."""
+    return np.floor(np.asarray(values, dtype=float) * float(b) ** level).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,8 @@ def test_non_integral_system_fields_exit_2_naming_the_field(tmp_path, capsys):
         ({"1": [1.0, 0.0]}, "phi must be a list of [k, a_k, b_k] entries"),
         ([[1, "x", 0.0]], "phi entry 0 coefficients must be numbers, got [1, 'x', 0.0]"),
         ([[1, 1.0, None]], "phi entry 0 coefficients must be numbers, got [1, 1.0, None]"),
+        ([[1, True, False]], "phi entry 0 coefficients must be numbers, got [1, True, False]"),
+        ([[1, "1.5", 0.0]], "phi entry 0 coefficients must be numbers, got [1, '1.5', 0.0]"),
     ],
 )
 def test_malformed_phi_entry_exits_2_naming_the_entry(tmp_path, capsys, phi, message):
@@ -105,6 +107,9 @@ SYSTEM = {"b": 2, "gamma": 0.4, "phi": [[1, 1.0, 0.0]]}
     "doc, message",
     [
         ([], "the config must be a JSON object, got []"),
+        ({"experiments": []}, "the config is missing the required field system"),
+        ({"system": {"gamma": 0.4}}, "system is missing the required field b"),
+        ({"system": {"b": 2, "phi": [[1, 1.0, 0.0]]}}, "system is missing the required field gamma"),
         ({"system": []}, "system must be a JSON object, got []"),
         ({"system": SYSTEM, "budgets": [1]}, "budgets must be a JSON object, got [1]"),
         ({"system": SYSTEM, "experiments": [["render"]]}, "experiments must be a list of strings, got [["),
