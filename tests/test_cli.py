@@ -107,9 +107,6 @@ SYSTEM = {"b": 2, "gamma": 0.4, "phi": [[1, 1.0, 0.0]]}
     "doc, message",
     [
         ([], "the config must be a JSON object, got []"),
-        ({"experiments": []}, "the config is missing the required field system"),
-        ({"system": {"gamma": 0.4}}, "system is missing the required field b"),
-        ({"system": {"b": 2, "phi": [[1, 1.0, 0.0]]}}, "system is missing the required field gamma"),
         ({"system": []}, "system must be a JSON object, got []"),
         ({"system": SYSTEM, "budgets": [1]}, "budgets must be a JSON object, got [1]"),
         ({"system": SYSTEM, "experiments": [["render"]]}, "experiments must be a list of strings, got [["),
@@ -118,6 +115,9 @@ SYSTEM = {"b": 2, "gamma": 0.4, "phi": [[1, 1.0, 0.0]]}
         ({"system": {**SYSTEM, "gamma": True}}, "gamma must be a number, got True"),
         ({"system": {**SYSTEM, "gamma": "0.4"}}, "gamma must be a number, got '0.4'"),
         ({"system": {**SYSTEM, "truncation_tol": True}}, "truncation_tol must be a number, got True"),
+        ({"experiments": []}, "the config is missing the required field system"),
+        ({"system": {"gamma": 0.4}}, "system is missing the required field b"),
+        ({"system": {"b": 2, "phi": [[1, 1.0, 0.0]]}}, "system is missing the required field gamma"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, doc, message):
