@@ -16,7 +16,8 @@ window takes a margin of 1/16 of its old span on each side that grew.
 A wider span falls back to the sorted merge, which re-sorts with every chunk.
 ``WORK_BUDGET`` caps the b^depth words an exact build stands for, whole
 subtrees of which it may count without evaluating them, and
-``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once.
+``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once;
+the experiments' exact builds take their depth from ``EXACT_WORDS``.
 ``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
 is its one-head case; ``partitions.measure_B`` passes one head per word of a
 uniform word block, the decomposition check's whole mixture among them).
@@ -46,6 +47,8 @@ from .series import iter_series_all_words  # noqa: F401 - perfbench/layers.py wr
 from .words import BIN_CAP, SystemParams, Word, bin_index, max_level
 
 WORK_BUDGET = 10**8
+#: The word count that fixes the depth of the experiments' exact builds.
+EXACT_WORDS = 2**23
 _CHUNK = 1 << 20
 
 

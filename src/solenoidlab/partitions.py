@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (
+    EXACT_WORDS,
     DiscreteMeasure,
     bin_index,
     build_mx_exact,
@@ -208,7 +209,7 @@ def decomposition_check(
         raise ValueError(f"decomposition-check: n={n}, i_level={i_level} give a tile of "
                          f"b^(nhat + ihat) = {b ** (nh + ih)} words, above the "
                          f"materialization cap {DEFAULT_CHUNK_CAP}")
-    depth_lhs = min(params.truncation_depth, max_level(b, 2**23) + 1)
+    depth_lhs = min(params.truncation_depth, max_level(b, EXACT_WORDS) + 1)
     lhs = build_mx_exact(params, x0, level, depth_lhs)
     tile = WordMeasure(params, nh + ih, Word.empty(b))
     rhs = measure_B(params, tile, x0, tail_samples, seed, level)

@@ -180,25 +180,21 @@ def condition_H_scan(
     grid = (np.arange(x_grid_size) + 0.5) / x_grid_size
     sup_gap = -math.inf
     wit = None
+    cols = np.arange(b)
     for x in grid:
-        vals = series_over_prefixes(params, x, depth)
-        # little-endian codes: first digit = code mod b
-        for d1 in range(b):
-            s1 = vals[d1::b]
-            hi = int(np.argmax(s1))
-            for d2 in range(b):
-                if d1 == d2:
-                    continue
-                s2 = vals[d2::b]
-                lo = int(np.argmin(s2))
-                gap = float(s1[hi] - s2[lo])
-                if gap > sup_gap:
-                    sup_gap = gap
-                    wit = (
-                        float(x),
-                        Word.from_code(hi * b + d1, depth, b),
-                        Word.from_code(lo * b + d2, depth, b),
-                    )
+        # little-endian codes: column d holds the words of first digit d
+        vals = series_over_prefixes(params, x, depth).reshape(-1, b)
+        hi, lo = vals.argmax(axis=0), vals.argmin(axis=0)
+        gaps = vals[hi, cols][:, None] - vals[lo, cols]  # [d1, d2]: max of d1 less min of d2
+        np.fill_diagonal(gaps, -np.inf)
+        d1, d2 = divmod(int(np.argmax(gaps)), b)  # the first largest gap, d1-major
+        if gaps[d1, d2] > sup_gap:
+            sup_gap = float(gaps[d1, d2])
+            wit = (
+                float(x),
+                Word.from_code(int(hi[d1]) * b + d1, depth, b),
+                Word.from_code(int(lo[d2]) * b + d2, depth, b),
+            )
     modulus = 2.0 * sup_norm(params.phi, 1) / (b - params.gamma)
     err = 2.0 * params.tail_bound(depth) + modulus * 0.5 / x_grid_size
     if sup_gap > 10.0 * err:

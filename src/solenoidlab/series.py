@@ -15,17 +15,15 @@ evaluates finite words exactly; an infinite word stands in as its prefix of
 the system's truncation depth, and ``SystemParams.tail_bound`` bounds the
 dropped tail of S itself (order 0).
 
-Every exact bulk evaluation runs one append kernel, ``_append_series``: from
-base points tau it applies tau <- (tau + d) / b per digit row d and adds
-c phi^(k)(tau), with c shrinking by gamma b^-k per digit.  The callers differ
-only in where the digits come from: a fixed word (``series_fixed_word``), the
-digits of explicit codes (``series_at_codes``), a common suffix or the high
-digits of an enumeration chunk, appended to prefix word points
-(``series_over_prefixes``, ``iter_series_all_words``).  Digit rows broadcast
-against tau: suffix rows given as columns of shape (r, 1) make
+Exact bulk evaluation has two kernels: the append kernel for words read
+digit by digit, and the tile step (below) for sets of words read by code.
+``_append_series`` appends digit rows to base points tau, tau <- (tau + d) / b
+per row, adding c phi^(k)(tau) with c shrinking by gamma b^-k per digit: it
+serves fixed words (``series_fixed_word``, the common suffix of
+``series_over_prefixes``), the digits of explicit codes (``series_at_codes``)
+and sampled tails.  Suffix rows given as columns of shape (r, 1) make
 ``series_over_prefixes`` return one row of values per suffix, all appended to
-one prefix tile.  The word-tree walk of ``_fiber_cells`` takes the kernel's
-step inline past the chunk seam, one digit per level for the nodes it keeps.
+one prefix tile.
 
 Seeded uniform tails (``random_tail_series``) feed their rows to the same
 kernel, except where phi has no harmonic above 1 and b <= 4.  There
@@ -36,18 +34,22 @@ at most 135 eps (|a_1| + |b_1|) / (1 - gamma) against exact arithmetic on
 the same word points, fixes k; these sampled values may differ from the
 append kernel's in the last bits, while every exact path stays bit for bit.
 
-Enumerating all prefixes of a length uses the tile recursion instead: the
-word points of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1},
-so level n costs one phi evaluation on b^n points, about b/(b-1) b^n points
-in all against n b^n for appending per word.
+Enumerating all words of a length uses the tile recursion: the word points
+of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1}, so
+level n costs one phi evaluation on b^n points, about b/(b-1) b^n points in
+all against n b^n for appending per word.  Term n + 1 is gamma^n phi at the
+word point, gamma^n a repeated product.  ``_tile_step`` takes that step for
+any set of words given by their codes.
 
-Three enumerators cover all b^depth words at a base point.
-``series_over_prefixes`` returns every value of one tile;
-``iter_series_all_words`` yields them all in code order, chunked at the seam
-t = max_level(b, DEFAULT_CHUNK_CAP), and is the oracle of the third;
-``_fiber_cells``, behind ``measures.build_mx_exact``, computes the same values
-by the same float operations but only down to the depth at which the tail
-bound fixes a subtree's cell, and yields cells with the words each stands for.
+Three enumerators cover all b^depth words at a base point, and all three
+give each word the same float value.  ``series_over_prefixes`` returns every
+value of one tile; ``iter_series_all_words`` yields them in code order in
+chunks of b^t values, t = max_level(b, chunk_cap), taking each chunk's high
+digits by ``_tile_step``, and is the oracle of the third; ``_fiber_cells``,
+behind ``measures.build_mx_exact``, walks the word tree by ``_tile_step``
+only down to the depth at which the tail bound fixes a subtree's cell, and
+yields cells with the words each stands for.  Where chunks or slices are
+cut changes memory, never a value.
 
 ``eval_S_deriv`` stays a scalar loop over Python floats and shares only the
 phi kernel ``periodic.eval_deriv`` with the bulk path, so it serves as the
@@ -57,6 +59,7 @@ on its own against an mpmath evaluation (``tests/test_periodic.py``).
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Iterator
 
@@ -118,10 +121,8 @@ def series_fixed_word(params: SystemParams, xs: np.ndarray, digits, order: int =
     return _append_series(params, np.asarray(xs, dtype=float), digits, order)
 
 
-def series_over_prefixes(
-    params: SystemParams, x: float, prefix_len: int, suffix=(), order: int = 0
-) -> np.ndarray:
-    """S^(order)(x, j . suffix) for every j in Lambda^prefix_len, code order.
+def series_over_prefixes(params: SystemParams, x: float, prefix_len: int, suffix=()) -> np.ndarray:
+    """S(x, j . suffix) for every j in Lambda^prefix_len, code order.
 
     Materializes b^prefix_len values per suffix row; b^prefix_len is guarded by
     DEFAULT_CHUNK_CAP.
@@ -133,21 +134,18 @@ def series_over_prefixes(
         )
     A = np.zeros(1)
     pts = np.array([float(x)])
-    coef = float(b) ** (-order)
-    step = params.gamma * float(b) ** (-order)
+    coef = 1.0
     for n in range(1, prefix_len + 1):
         pts = (x + np.arange(b**n, dtype=np.float64)) / float(b**n)
-        A = np.tile(A, b) + coef * eval_deriv(params.phi, pts, order)
-        coef *= step
+        A = np.tile(A, b) + coef * eval_deriv(params.phi, pts, 0)
+        coef *= params.gamma
     if len(suffix):
-        A = A + _append_series(params, pts, suffix, order, coef)
+        A = A + _append_series(params, pts, suffix, 0, coef)
     return A
 
 
-def series_at_codes(
-    params: SystemParams, x: float, length: int, codes: np.ndarray, suffix=(), order: int = 0
-) -> np.ndarray:
-    """S^(order)(x, j . suffix) for the words j of given length with these codes."""
+def series_at_codes(params: SystemParams, x: float, length: int, codes: np.ndarray) -> np.ndarray:
+    """S(x, j) for the words j of given length with these codes."""
     codes = np.asarray(codes, dtype=np.int64)
 
     def digit_rows():
@@ -155,9 +153,22 @@ def series_at_codes(
         for _ in range(length):
             rest, digit = np.divmod(rest, params.b)
             yield digit
-        yield from suffix
 
-    return _append_series(params, np.full(codes.shape, float(x)), digit_rows(), order)
+    return _append_series(params, np.full(codes.shape, float(x)), digit_rows())
+
+
+def _tile_step(params: SystemParams, x: float, n: int, values, codes, digits):
+    """(values, codes) of the length-(n+1) words below length-n words: code
+    m + d b^n for each digit row d (broadcasting against codes, rows first)
+    and value v + gamma^n phi((x + m + d b^n) / b^(n+1)), gamma^n a repeated
+    product as in ``series_over_prefixes``."""
+    codes = codes + digits * params.b**n
+    term = x + codes
+    term /= float(params.b ** (n + 1))
+    term = eval_deriv(params.phi, term, 0)
+    term *= math.prod((params.gamma,) * n)
+    term += values
+    return term.ravel(), codes.ravel()
 
 
 def iter_series_all_words(
@@ -166,15 +177,19 @@ def iter_series_all_words(
     """Yield S(x, j) over all j in Lambda^depth in code order, chunked.
 
     The first t levels (b^t <= chunk_cap) use the tile recursion; each chunk
-    appends its remaining digits to the length-t prefix word points.
+    takes its remaining high digits by ``_tile_step``, so its values are those
+    of ``series_over_prefixes(params, x, depth)`` bit for bit, wherever the
+    chunks are cut.
     """
     b = params.b
     t = min(depth, max_level(b, chunk_cap))
     A = series_over_prefixes(params, x, t)
-    pts = (x + np.arange(b**t, dtype=np.float64)) / float(b**t)
+    low = np.arange(b**t)
     for high in range(b ** (depth - t)):
-        digits = Word.from_code(high, depth - t, b).digits
-        yield A + _append_series(params, pts, digits, 0, params.gamma**t)
+        vals, codes = A, low
+        for n, d in enumerate(Word.from_code(high, depth - t, b).digits, start=t):
+            vals, codes = _tile_step(params, x, n, vals, codes, d)
+        yield vals
 
 
 def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iterator[tuple[np.ndarray, int]]:
@@ -182,28 +197,25 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     over the words j of Lambda^depth, each entry standing for ``words`` words.
     Summed per cell, the words give the histogram of ``iter_series_all_words``.
 
-    A walk down the word tree, with every value computed by the float
-    operations of ``iter_series_all_words``.  Before the chunk seam
-    t = max_level(b, DEFAULT_CHUNK_CAP) a node of length n is a code m with
-    its tile value A_n; a child takes code m + d b^n, word point
-    (x + m') / b^(n+1) and A_n + c phi, c by the tile's repeated product.  Past
-    the seam a node keeps A_t and appends by ``_append_series``'s steps, its
-    value A_t + O_n.  A node whose value v has bin_index(v - r_n) ==
-    bin_index(v + r_n), r_n = tail_bound(n) + slack, is settled: its
-    b^(depth-n) words go to that cell and it is dropped.  Every word below it
-    ends at a value V with |V - v| <= r_n, so fl(v - r_n) <= V <= fl(v + r_n),
-    and floor(fl(V b^level)) is monotone in V: the words per cell are exactly
-    those of binning all b^depth values.  The other nodes are binned at the
-    leaves.
+    A walk down the word tree.  A node of length n is a code m with its
+    value v, the series of its prefix; ``_tile_step`` gives its children,
+    so every value is the one ``series_over_prefixes`` computes.  A node
+    with bin_index(v - r_n) == bin_index(v + r_n), r_n = tail_bound(n) +
+    slack, is settled: its b^(depth-n) words go to that cell and it is
+    dropped.  Every word below it ends at a value V with |V - v| <= r_n, so
+    fl(v - r_n) <= V <= fl(v + r_n), and floor(fl(V b^level)) is monotone in
+    V: the words per cell are exactly those of binning all b^depth values.
+    The other nodes are binned at the leaves.
 
     Cost rule: settling compacts the node arrays, which costs more than it
     saves while most nodes survive (b gamma > 1).  So a level settles its
     nodes only when the settled ones are the majority; until then the walk
-    keeps every node, which is the tile recursion itself.  Past the seam the
-    nodes go in slices of max(1, b^(2t - depth)), so no level of a slice
-    materializes more values than one chunk of ``iter_series_all_words``
-    while depth <= 2t, as ``measures.WORK_BUDGET`` ensures, and the slices
-    yield no more often than its chunks.
+    keeps every node, which is the tile recursion itself.  Memory rule: at
+    the chunk seam t = max_level(b, DEFAULT_CHUNK_CAP) the nodes go on in
+    slices of max(1, b^(2t - depth)), so no level of a slice materializes
+    more values than one chunk of ``iter_series_all_words`` while depth <=
+    2t, as ``measures.WORK_BUDGET`` ensures, and the slices yield no more
+    often than its chunks.  Codes are int32: b^depth <= WORK_BUDGET < 2^31.
 
     The slack bounds the rounding between v and V.  Let u = eps / 2,
     F = fiber_bound, T_n the exact tail sup|phi| gamma^n / (1 - gamma), and
@@ -211,68 +223,48 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     - A computed phi value is at most sup|phi| (1 + u)^k: |cos|, |sin| <= 1
       in floats, and each product and sum rounds once.
     - The coefficient of term j is at most gamma^(j-1) (1 + u)^(j+1), by
-      repeated products or gamma^t by pow; so the computed terms after n sum
-      to at most T_n (1 + u)^(depth + k + 2).
+      repeated products; so the computed terms after n sum to at most
+      T_n (1 + u)^(depth + k + 2).
     - tail_bound(n) rounds within (k + 6) u of T_n, relatively.
-    - At most depth - n + 2 rounded additions lie between v and V (the
-      walk's, plus A_t + O at both ends past the seam), each off by u times
+    - depth - n rounded additions lie between v and V, each off by u times
       a partial sum, at most 1.01 u F.
-    So |V - v| <= tail_bound(n) + 1.01 (depth + k + 5) eps F, and the slack
+    So |V - v| <= tail_bound(n) + 1.01 (depth + k + 4) eps F, and the slack
     4 (depth + 2 degree + 4) eps F is at least twice that.
     """
-    b, gam, phi = params.b, params.gamma, params.phi
+    b = params.b
     t = min(depth, max_level(b, DEFAULT_CHUNK_CAP))
-    slack = 4.0 * (depth + 2 * phi.degree + 4) * np.finfo(float).eps * params.fiber_bound
-    scale = float(b) ** level
+    slack = 4.0 * (depth + 2 * params.phi.degree + 4) * np.finfo(float).eps * params.fiber_bound
+    children = np.arange(b, dtype=np.int32)[:, None]
 
     def radius(n):
         return params.tail_bound(n) + slack
 
-    def prune(n, v, arrays):
-        """Yield the settled nodes' cells; return the arrays of the others."""
-        r = radius(n)
-        lo = bin_index(v - r, b, level)
-        settled = lo == bin_index(v + r, b, level)
-        if 2 * np.count_nonzero(settled) <= len(v):  # most survive: keep tiling
-            return arrays
-        yield lo[settled], b ** (depth - n)
-        return [a[~settled] for a in arrays]
-
     # the first length at which one cell can hold a node's whole radius
-    first = next((n for n in range(depth) if 2.0 * radius(n) * scale < 1.0), depth)
-    n = min(first, t)
-    A = series_over_prefixes(params, x, n)
-    codes = np.arange(b**n)
-    coef = 1.0
-    for _ in range(n):
-        coef *= gam
-    while n < t:
-        A, codes = yield from prune(n, A, [A, codes])
-        codes = (codes + b**n * np.arange(b)[:, None]).ravel()
-        n += 1
-        A = np.tile(A, b)
-        A += coef * eval_deriv(phi, (x + codes) / float(b**n), 0)
-        coef *= gam
-    tau = (x + codes) / float(b**t)
-    del codes
-    step = b ** max(0, 2 * t - depth)
-    for start in range(0, len(A), step):
-        base, tau_s = A[start:start + step], tau[start:start + step]
-        out, coef = np.zeros(len(base)), gam**t
-        for n in range(t, depth):
+    first = next((n for n in range(depth) if 2.0 * radius(n) * float(b) ** level < 1.0), depth)
+
+    def descend(start, stop, values, codes):
+        """Take the nodes from length start to stop, yielding the settled
+        ones' cells; return the others."""
+        for n in range(start, stop):
             if n >= first:
-                base, tau_s, out = yield from prune(n, base + out, [base, tau_s, out])
-            tau_s = np.add(tau_s, np.arange(b)[:, None]).ravel()
-            tau_s /= b
-            term = eval_deriv(phi, tau_s, 0)
-            term *= coef
-            base, out = np.tile(base, b), np.tile(out, b)
-            out += term
-            del term
-            coef *= gam
-        out += base  # the value A_t + O of each leaf
-        del base, tau_s  # not kept while the leaves are counted
-        yield bin_index(out, b, level), 1
+                r = radius(n)
+                lo = bin_index(values - r, b, level)
+                settled = lo == bin_index(values + r, b, level)
+                if 2 * np.count_nonzero(settled) > len(values):  # most settle: drop them
+                    yield lo[settled], b ** (depth - n)
+                    values, codes = values[~settled], codes[~settled]
+            values, codes = _tile_step(params, x, n, values, codes, children)
+        return values, codes
+
+    n = min(first, t)
+    values, codes = yield from descend(
+        n, t, series_over_prefixes(params, x, n), np.arange(b**n, dtype=np.int32)
+    )
+    step = b ** max(0, 2 * t - depth)
+    for start in range(0, len(values), step):
+        leaves = (yield from descend(t, depth, values[start:start + step], codes[start:start + step]))[0]
+        yield bin_index(leaves, b, level), 1
+        del leaves  # not kept while the next slice descends
 
 
 def random_tail_series(

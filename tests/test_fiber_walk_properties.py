@@ -1,14 +1,17 @@
 """The pruned word-tree walk of the exact fiber measure against full enumeration.
 
 ``series._fiber_cells`` settles a subtree's cell from the tail bound and
-computes every other value with the float operations of
-``iter_series_all_words``.  The oracle bins every value that enumerator
-yields, under the same chunk cap, so cell indices and word counts must agree
-exactly; at b = 2 the weights of ``build_mx_exact`` must also equal, bit for
-bit, those of the accumulator that enumerated all words (``old_exact``).
-Systems cover b = 2 and 3, phi of degree <= 3 with a constant term, and
-gamma on both sides of b gamma = 1.  Explicit cases put every value on a cell
-edge (phi = 0, a constant phi) and take the walk across the chunk seam.
+takes every other node down by ``series._tile_step``, the step of
+``iter_series_all_words``, whose chunks equal ``series_over_prefixes`` bit
+for bit.  The oracle bins every value that enumerator yields, under the same
+chunk cap, so cell indices and word counts must agree exactly; at b = 2 the
+weights of ``build_mx_exact`` must also equal, bit for bit, those of the
+accumulator that enumerated all words (``old_exact``).  Systems cover b = 2
+and 3, phi of degree <= 3 with a constant term, and gamma on both sides of
+b gamma = 1.  Explicit cases put every value on a cell edge (phi = 0, a
+constant phi), take the walk across the chunk seam, and check that a build
+at the finest level is the same, bit for bit, under a chunk cap that puts
+the seam mid-walk as under the default.
 """
 
 from unittest import mock
@@ -57,7 +60,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def check_walk(p: SystemParams, x: float, level: int, depth: int, cap: int) -> None:
+def check_walk(p: SystemParams, x: float, level: int, depth: int, cap: int) -> DiscreteMeasure:
     with mock.patch.object(series, "DEFAULT_CHUNK_CAP", cap):
         cells, counts = walk_cells(p, x, level, depth)
         mu = build_mx_exact(p, x, level, depth)
@@ -68,6 +71,7 @@ def check_walk(p: SystemParams, x: float, level: int, depth: int, cap: int) -> N
     if p.b == 2:
         old = old_exact(p, x, level, depth, cap)
         assert same_bits(mu.indices, old.indices) and same_bits(mu.weights, old.weights)
+    return mu
 
 
 @st.composite
@@ -101,9 +105,12 @@ def test_walk_counts_every_word_in_its_enumerated_cell(data):
 @pytest.mark.parametrize("b, gamma", [(2, 0.3), (2, 0.7), (3, 0.2), (3, 0.5)])
 def test_finest_cells_see_the_rounding_of_every_value(b, gamma, seam):
     p = SystemParams(b, gamma, PeriodicFn((0.25, 1.0, -0.5, 0.375), (0.0, -0.5, 0.25, 0.125)))
-    depth = MAX_DEPTH[b]
+    depth, level = MAX_DEPTH[b], p.max_bin_level()
     cap = b ** (depth // 2) if seam else series.DEFAULT_CHUNK_CAP
-    check_walk(p, 0.3, p.max_bin_level(), depth, cap)
+    mu = check_walk(p, 0.3, level, depth, cap)
+    # the chunk cap cuts the walk into slices and changes no value
+    want = build_mx_exact(p, 0.3, level, depth)
+    assert same_bits(mu.indices, want.indices) and same_bits(mu.weights, want.weights)
 
 
 @pytest.mark.parametrize("b", [2, 3])
