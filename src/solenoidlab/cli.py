@@ -96,6 +96,8 @@ class RunConfig:
     outdir: str = "out"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for k, v in self.budgets.items():
             if k not in BUDGETS:
                 raise ValueError(f"unknown budget {k}: no experiment reads it")
@@ -220,7 +222,7 @@ def _exp_dim_estimate(cfg: RunConfig) -> tuple[dict, dict]:
     box = attractor_box_count(p, _budget(cfg, "box_points"), box_levels, seed=cfg.seed)
     return {
         "fiber_entropy_slope": prof.slope,
-        "fiber_slope_window": prof.slope_window,
+        "fiber_slope_window": (prof.levels[0], prof.levels[-1]),
         "attractor_box_slope": box.slope,
         "predicted_dimension": predicted_dimension(p.b, p.gamma),
         "predicted_fiber_dimension": min(1.0, log_ratio(p.b, p.gamma)),
@@ -237,7 +239,7 @@ def _exp_separation_scan(cfg: RunConfig) -> tuple[dict, dict]:
     n_lo, n_hi = _budget(cfg, "n_min"), _budget(cfg, "n_max")
     scan = exp_separation_scan(p, GENERIC_BASE_POINT, ell, eps, range(n_lo, n_hi + 1), seed=cfg.seed)
     return {
-        "x": scan.x,
+        "x": GENERIC_BASE_POINT,
         "ell": ell,
         "epsilon": eps,
         "epsilon_max": scan.epsilon_max,

@@ -11,7 +11,7 @@ ratio: at desk scale the limit's additive constants would otherwise dominate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,9 @@ def entropy(mu: DiscreteMeasure, level: int) -> float:
 # dimension estimation
 # ---------------------------------------------------------------------------
 
-def fit_line(xs, ys) -> tuple[float, float, np.ndarray]:
-    """Least-squares line through the points: (slope, intercept, residuals)."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept), ys - (slope * xs + intercept)
+def fit_line(xs, ys) -> float:
+    """Slope of the least-squares line through the points."""
+    return float(np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,6 @@ class EntropyProfile:
     levels: tuple[int, ...]
     entropies: tuple[float, ...]
     slope: float
-    intercept: float
-    slope_window: tuple[int, int]
-    residuals: tuple[float, ...]
-    increments: tuple[float, ...]
 
     def to_rows(self) -> list[tuple[int, float]]:
         return list(zip(self.levels, self.entropies))
@@ -71,16 +65,7 @@ def dimension_estimate(mu: DiscreteMeasure, levels) -> EntropyProfile:
     if len(set(levels)) != len(levels):
         raise ValueError("levels must be distinct")
     ents = [entropy(mu, lev) for lev in levels]
-    slope, intercept, resid = fit_line(levels, ents)
-    return EntropyProfile(
-        levels=tuple(levels),
-        entropies=tuple(float(v) for v in ents),
-        slope=slope,
-        intercept=intercept,
-        slope_window=(levels[0], levels[-1]),
-        residuals=tuple(float(v) for v in resid),
-        increments=tuple(float(v) for v in np.diff(ents)),
-    )
+    return EntropyProfile(tuple(levels), tuple(float(v) for v in ents), fit_line(levels, ents))
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +74,8 @@ def dimension_estimate(mu: DiscreteMeasure, levels) -> EntropyProfile:
 
 @dataclass(frozen=True)
 class PorosityReport:
-    h: float
-    delta: float
-    m: int
-    level_range: tuple[int, int]
     fraction: float
     verdict: bool
-    per_level: tuple[float, ...] = field(default=())
 
 
 def _component_entropies(mu: DiscreteMeasure, i: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,13 +114,5 @@ def porosity_fraction(
         below = ents / m < h + delta
         per_level.append(float(masses[below].sum()))
     fraction = float(np.mean(per_level))
-    return PorosityReport(
-        h=h,
-        delta=delta,
-        m=m,
-        level_range=(n1, n2),
-        fraction=fraction,
-        verdict=fraction > 1.0 - delta,
-        per_level=tuple(per_level),
-    )
+    return PorosityReport(fraction, fraction > 1.0 - delta)
 

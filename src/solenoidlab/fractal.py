@@ -77,8 +77,10 @@ def render_attractor(
 ) -> RasterGrid:
     """Accumulate orbit-point occupancy on a resolution^2 grid over
     [0,1) x [-M, M], M the certified fiber bound."""
-    if resolution < 2 or n_points < 1:
-        raise ValueError("resolution and n_points must be positive")
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if n_points < 1:
+        raise ValueError(f"n_points must be positive, got {n_points}")
     M = params.fiber_bound
     if M == 0.0:
         M = 1.0
@@ -100,23 +102,15 @@ class BoxCountResult:
     levels: tuple[int, ...]
     counts: tuple[int, ...]
     slope: float
-    intercept: float
-    residuals: tuple[float, ...]
 
     def to_rows(self):
         return list(zip(self.levels, self.counts))
 
 
 def _fit(levels, counts, b) -> BoxCountResult:
+    """The counts with the least-squares slope of log_b(count) against the level."""
     ys = np.log(np.asarray(counts, dtype=float)) / math.log(b)
-    slope, intercept, resid = fit_line(levels, ys)
-    return BoxCountResult(
-        tuple(int(v) for v in levels),
-        tuple(int(v) for v in counts),
-        slope,
-        intercept,
-        tuple(float(v) for v in resid),
-    )
+    return BoxCountResult(tuple(int(v) for v in levels), tuple(int(v) for v in counts), fit_line(levels, ys))
 
 
 _HALF = 1 << 31
@@ -143,15 +137,15 @@ def _occupied_keys(xb: np.ndarray, yb: np.ndarray, level: int, b: int) -> np.nda
 
 
 def box_count_dimension(
-    points: np.ndarray | Iterable[tuple[np.ndarray, np.ndarray]],
+    points: Iterable[tuple[np.ndarray, np.ndarray]],
     levels,
     b: int = 2,
 ) -> BoxCountResult:
-    """Box-counting estimate for a planar point set.
+    """Box-counting estimate for a planar point set given as an iterable of
+    (x_block, y_block) chunks.
 
-    ``points`` is an (N, 2) array or an iterable of (x_block, y_block)
-    chunks.  Requires >= 3 levels and a spread of at least two cells at the
-    coarsest level.
+    Requires >= 3 levels and a spread of at least two cells at the coarsest
+    level.
     """
     levels = sorted(int(v) for v in levels)
     if len(levels) < 3:
@@ -159,13 +153,8 @@ def box_count_dimension(
     lmax = levels[-1]
     if lmax > max_level(b, 2**30):
         raise ValueError("finest level too deep for packed box keys")
-    if isinstance(points, np.ndarray):
-        pts = np.asarray(points, dtype=float)
-        chunks: Iterable = [(pts[:, 0], pts[:, 1])]
-    else:
-        chunks = points
     keys = np.empty(0, dtype=np.int64)
-    for xb, yb in chunks:
+    for xb, yb in points:
         k = _occupied_keys(np.asarray(xb, dtype=float), np.asarray(yb, dtype=float), lmax, b)
         keys = sorted_unique(np.concatenate([keys, k]), kind="stable")
     if len(keys) == 0:
@@ -235,8 +224,6 @@ WEIERSTRASS_TOL = 1e-8
 class WeierstrassGraph:
     xs: np.ndarray
     ys: np.ndarray
-    lam: float
-    b: int
     predicted_dim: float
     terms: int
 
@@ -272,4 +259,4 @@ def weierstrass_graph(psi: PeriodicFn, lam: float, b: int, resolution: int) -> W
         arg = (b * arg) % 1.0
         coef *= lam
     dim = 2.0 + math.log(lam) / math.log(b)
-    return WeierstrassGraph(xs, ys, lam, b, dim, terms)
+    return WeierstrassGraph(xs, ys, dim, terms)

@@ -380,10 +380,6 @@ def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 class SelfSimilarityReport:
     residual: float
     certified_bound: float
-    inner_level: int
-    n: int
-    depth: int
-    level: int
 
 
 def self_similarity_residual(
@@ -420,4 +416,4 @@ def self_similarity_residual(
         depth - n
     )
     bound = min(1.0, float(params.b) ** level * 2.0 * displacement)
-    return SelfSimilarityReport(residual, bound, inner_level, n, depth, level)
+    return SelfSimilarityReport(residual, bound)

@@ -175,7 +175,6 @@ class DecompositionReport:
     n_hat: int
     i_hat: int
     atoms: int
-    level: int
 
 
 def decomposition_check(
@@ -220,7 +219,7 @@ def decomposition_check(
     )
     sampling = 0.5 * math.sqrt(len(lhs.indices) / n_atoms)
     error_budget = min(1.0, float(b) ** level * 2.0 * tail_terms + sampling)
-    return DecompositionReport(residual, error_budget, nh, ih, n_atoms, level)
+    return DecompositionReport(residual, error_budget, nh, ih, n_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,6 @@ class ThetaEntropyRow:
     support: int
     coarse: float
     fine: float
-    coarse_level: int
-    fine_levels: tuple[int, int]
 
 
 def _entropy_of_key_rows(columns: list[np.ndarray], weights: np.ndarray, b: int) -> float:
@@ -290,7 +287,7 @@ def theta_entropy_table(
     """
     rows = []
     for n in sorted(int(v) for v in n_list):
-        theta, (coarse, _, lev_c), (fine, lev_cn, lev3f) = _theta_keys(params, cert, n, C)
+        theta, (coarse, _, _), (fine, _, _) = _theta_keys(params, cert, n, C)
         rows.append(
             ThetaEntropyRow(
                 n=n,
@@ -298,8 +295,6 @@ def theta_entropy_table(
                 support=len(theta.codes),
                 coarse=_entropy_of_key_rows(coarse, theta.weights, params.b) / n,
                 fine=_entropy_of_key_rows(fine, theta.weights, params.b) / n,
-                coarse_level=lev_c,
-                fine_levels=(lev_cn, lev3f),
             )
         )
     return rows

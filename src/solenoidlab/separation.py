@@ -61,9 +61,6 @@ def min_gap(params: SystemParams, x: float, w: Word, n: int) -> float:
 class SeparationScan:
     """Per-scale minimum gaps of word value sets against epsilon^nhat."""
 
-    x: float
-    ell: int
-    epsilon: float
     n_values: tuple[int, ...]
     nhats: tuple[int, ...]
     min_gaps: tuple[float, ...]
@@ -128,9 +125,6 @@ def exp_separation_scan(
     else:
         eps_max = math.inf
     return SeparationScan(
-        x=x,
-        ell=ell,
-        epsilon=epsilon,
         n_values=tuple(r[0] for r in rows),
         nhats=tuple(r[1] for r in rows),
         min_gaps=tuple(r[2] for r in rows),
@@ -166,8 +160,8 @@ class DichotomyVerdict:
 
 def condition_H_scan(
     params: SystemParams,
-    x_grid_size: int = 64,
-    word_depth: int = 12,
+    x_grid_size: int,
+    word_depth: int,
 ) -> DichotomyVerdict:
     """Scan sup over an x-grid and all depth-limited word pairs with
     differing first digit of |S(x, i) - S(x, j)|.
@@ -251,7 +245,7 @@ def _grid_in_cell(a_code: int, t: int, b: int, points: int) -> np.ndarray:
 def transversality_search(
     params: SystemParams,
     t_list,
-    grid_size: int = 1024,
+    grid_size: int,
 ) -> TransversalityCertificate | None:
     """Search prefix pairs and base cells for a certified derivative
     transversality triple, recorded at the generic base point; None when no

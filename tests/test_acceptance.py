@@ -54,7 +54,7 @@ def fiber_slope_2_04(params2):
 def test_criterion_1_singular_regime_dimension(params2, fiber_slope_2_04):
     """b=2, gamma=0.4, phi=cos: fiber entropy slope and attractor box count
     both match the predicted dimension within 0.10."""
-    verdict = condition_H_scan(params2)
+    verdict = condition_H_scan(params2, x_grid_size=64, word_depth=12)
     prof = fiber_slope_2_04
     slope_ok = abs(prof.slope - ALPHA_2_04) <= 0.10
     box = box_count_dimension(
@@ -77,7 +77,7 @@ def test_criterion_2_degenerate_graph_case():
     """Cohomological phi: degenerate verdict, telescoped series, graph box count."""
     phi = cohomological_phi(COS, 2, 0.4)
     p = SystemParams(2, 0.4, phi)
-    verdict = condition_H_scan(p)
+    verdict = condition_H_scan(p, x_grid_size=64, word_depth=12)
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(100):

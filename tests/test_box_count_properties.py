@@ -58,7 +58,7 @@ def test_counts_match_index_pair_oracle(cloud):
         with pytest.raises(ValueError, match="fewer than 2 cells"):
             box_count_dimension(chunks, levels, b)
         return
-    whole = box_count_dimension(pts, levels, b)
+    whole = box_count_dimension([(pts[:, 0], pts[:, 1])], levels, b)
     assert list(whole.counts) == want
     assert box_count_dimension(chunks, levels, b) == whole
 
@@ -93,6 +93,6 @@ def test_sparse_cloud_at_deep_level_is_counted():
     rng = np.random.default_rng(5)
     pts = rng.random((50, 2)) * 2.0 - 1.0
     levels = [2, 10, 20]
-    res = box_count_dimension(pts, levels, b=2)
+    res = box_count_dimension([(pts[:, 0], pts[:, 1])], levels, b=2)
     assert list(res.counts) == oracle_counts(pts, levels, 2)
     assert res.counts[-1] == 50

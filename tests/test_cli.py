@@ -118,6 +118,8 @@ SYSTEM = {"b": 2, "gamma": 0.4, "phi": [[1, 1.0, 0.0]]}
         ({"experiments": []}, "the config is missing the required field system"),
         ({"system": {"gamma": 0.4}}, "system is missing the required field b"),
         ({"system": {"b": 2, "phi": [[1, 1.0, 0.0]]}}, "system is missing the required field gamma"),
+        ({"system": SYSTEM, "seed": -1, "experiments": ["dichotomy-check", "porosity"]},
+         "seed must be non-negative, got -1"),
     ],
 )
 def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, doc, message):
@@ -126,6 +128,12 @@ def test_malformed_config_shape_exits_2_naming_the_field(tmp_path, capsys, doc, 
     assert main(["run", "--config", str(config), "--outdir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_override_exits_2_before_any_folder(tmp_path, capsys):
+    assert main(["dichotomy-check", "--seed", "-1", "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not (tmp_path / "out").exists()
 
 

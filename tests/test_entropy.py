@@ -157,7 +157,7 @@ def test_profile_increments_monotone_entropies():
     p = SystemParams(2, 0.4, PeriodicFn.cosine())
     mu = build_mx_exact(p, 0.37, 12, 14)
     prof = dimension_estimate(mu, range(4, 13))
-    assert all(v >= -1e-12 for v in prof.increments)
+    assert all(v >= -1e-12 for v in np.diff(prof.entropies))
     assert 0.0 <= prof.slope <= 1.0
 
 

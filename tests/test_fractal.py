@@ -38,23 +38,24 @@ def test_predicted_dimension_monotone_and_capped():
 def test_box_count_horizontal_segment():
     xs = np.linspace(0, 1, 200001)
     ys = np.full_like(xs, 0.37)
-    res = box_count_dimension(np.column_stack([xs, ys]), range(2, 9))
+    res = box_count_dimension([(xs, ys)], range(2, 9))
     assert abs(res.slope - 1.0) <= 0.05
 
 
 def test_box_count_filled_square():
     rng = np.random.default_rng(0)
     pts = rng.random((10**6, 2))
-    res = box_count_dimension(pts, range(2, 9))
+    res = box_count_dimension([(pts[:, 0], pts[:, 1])], range(2, 9))
     assert abs(res.slope - 2.0) <= 0.05
 
 
 def test_box_count_rejections():
     pts = np.full((100, 2), 0.3)
     with pytest.raises(ValueError):
-        box_count_dimension(pts, range(2, 9))  # spans a single cell
+        box_count_dimension([(pts[:, 0], pts[:, 1])], range(2, 9))  # spans a single cell
+    pts = np.random.default_rng(1).random((100, 2))
     with pytest.raises(ValueError):
-        box_count_dimension(np.random.default_rng(1).random((100, 2)), [4, 5])
+        box_count_dimension([(pts[:, 0], pts[:, 1])], [4, 5])
 
 
 def test_box_count_rejects_indices_outside_packed_keys():
@@ -63,10 +64,10 @@ def test_box_count_rejects_indices_outside_packed_keys():
     # would count as (2, 2, 2).  With |y| = 1.4 both indices fit.
     pts = np.array([[0, 2.5], [1.5 * 2**-30, -1.5], [0.9, 0.9]])
     with pytest.raises(ValueError, match=r"level 30 .*2684354560"):
-        box_count_dimension(pts, [28, 29, 30])
+        box_count_dimension([(pts[:, 0], pts[:, 1])], [28, 29, 30])
     pts[1, 1] = -1.4
     pts[0, 1] = 1.4
-    assert box_count_dimension(pts, [28, 29, 30]).counts == (3, 3, 3)
+    assert box_count_dimension([(pts[:, 0], pts[:, 1])], [28, 29, 30]).counts == (3, 3, 3)
 
 
 def test_box_count_lipschitz_graph_at_most_one():
@@ -113,6 +114,14 @@ def test_render_extent_and_determinism():
     assert (g1.y_min, g1.y_max) == (-p.fiber_bound, p.fiber_bound)
     cols = np.nonzero(g1.counts.sum(axis=1))[0]
     assert len(cols) == 64  # x-marginal covers the full range
+
+
+def test_render_rejects_each_bound_by_name():
+    p = SystemParams(2, 0.4, COS)
+    with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
+        render_attractor(p, 1, 100)
+    with pytest.raises(ValueError, match="n_points must be positive, got 0"):
+        render_attractor(p, 8, 0)
 
 
 def test_pgm_export():

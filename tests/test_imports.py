@@ -9,6 +9,11 @@ method, property and classmethod of a public class in the package, is read
 by the package or by the benchmark (as a name or an attribute), or is listed
 in TEST_ONLY with the reason tests need it.  Methods are listed as
 Class.method and count as read wherever an attribute of their name is.
+
+And every annotated field of a public class in the package is read as an
+attribute (``obj.field``) by the package or by the benchmark, or is listed in
+TEST_ONLY as Class.field.  The check goes by name: a field named like an
+attribute read elsewhere (``n``, ``level``, ``b``) passes on that read.
 """
 
 import ast
@@ -21,10 +26,18 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "solenoidlab"
 MARKER = "# noqa: F401 - perfbench/layers.py wraps this name"
 
-#: Public names that only tests call, each with the reason it stays.
+#: Public names that only tests call, and record fields that only tests read,
+#: each with the reason it stays.
 TEST_ONLY = {
     "DiscreteMeasure.uniform_unit": "the Lebesgue reference of acceptance criterion 5",
+    "PartitionKey.cell1": "scalar oracle of the bulk key columns of partitions.partition_keys",
+    "PartitionKey.cell2": "scalar oracle of the bulk key columns of partitions.partition_keys",
+    "PartitionKey.cell3": "scalar oracle of the bulk key columns of partitions.partition_keys",
+    "PartitionKey.cell3_level": "scalar oracle of the series-column level of partitions.partition_keys",
+    "PartitionKey.m": "scalar oracle of the word length partitions.partition_keys bins at",
     "RunConfig.to_json": "round-trip partner of RunConfig.from_json, which the CLI reads",
+    "SelfSimilarityReport.certified_bound": "acceptance criterion 4",
+    "SeparationScan.worst_words": "re-checked through min_gap: the scan's gap is that word's value-set gap",
     "Word.concat": "word algebra of the cocycle oracle in tests/series_oracles.py",
     "cohomological_phi": "builds the degenerate system of acceptance criterion 2",
     "component": "oracle of entropy._component_entropies",
@@ -78,36 +91,40 @@ def test_module_imports_are_used_or_marked():
     assert not unbound, f"marked imports that perfbench/layers.py does not wrap: {unbound}"
 
 
-def _read_names() -> set[str]:
-    """Names read, as names or as attributes, in the package's modules and in perfbench/."""
-    names = set()
+def _code_nodes():
+    """Every AST node of the package's modules and of perfbench/."""
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     for path in modules + sorted((ROOT / "perfbench").glob("*.py")):
-        for n in ast.walk(ast.parse(path.read_text())):
-            if isinstance(n, ast.Name):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                names.add(n.attr)
-    return names
+        yield from ast.walk(ast.parse(path.read_text()))
 
 
-def _public_methods() -> set[str]:
-    """Class.member of every public method, property and classmethod of a
-    public class defined in the package."""
+def _read_names() -> set[str]:
+    """Names read, as names or as attributes, in the package's modules and in perfbench/."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in _code_nodes()
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _public_members(kind) -> set[str]:
+    """Class.member of every public ``kind`` node (ast.FunctionDef for
+    methods, ast.AnnAssign for fields) of a public class defined in the package."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                out |= {
-                    f"{node.name}.{f.name}"
+                names = [
+                    f.target.id if isinstance(f, ast.AnnAssign) else f.name
                     for f in node.body
-                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
-                }
+                    if isinstance(f, kind)
+                ]
+                out |= {f"{node.name}.{name}" for name in names if not name.startswith("_")}
     return out
 
 
 def test_exported_api_is_used_or_listed_as_test_only():
-    public = _public_methods() | {
+    public = _public_members(ast.FunctionDef) | {
         name
         for name in solenoidlab.__all__
         if inspect.isfunction(getattr(solenoidlab, name)) or inspect.isclass(getattr(solenoidlab, name))
@@ -115,6 +132,19 @@ def test_exported_api_is_used_or_listed_as_test_only():
     read = _read_names()
     unused = {name for name in public if name.rsplit(".", 1)[-1] not in read}
     unlisted = sorted(unused - set(TEST_ONLY))
-    stale = sorted(name for name in TEST_ONLY if name not in public or name not in unused)
+    listable = public | _public_members(ast.AnnAssign)
+    stale = sorted(name for name in TEST_ONLY if name not in listable or name in public and name not in unused)
     assert not unlisted, f"public names only tests call, missing from TEST_ONLY: {unlisted}"
     assert not stale, f"TEST_ONLY entries that are not public or are read in code: {stale}"
+
+
+def test_record_fields_are_read_or_listed_as_test_only():
+    fields = _public_members(ast.AnnAssign)
+    read = {
+        n.attr for n in _code_nodes() if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unused = {name for name in fields if name.rsplit(".", 1)[-1] not in read}
+    unlisted = sorted(unused - set(TEST_ONLY))
+    stale = sorted(name for name in TEST_ONLY if name in fields and name not in unused)
+    assert not unlisted, f"record fields only tests read, missing from TEST_ONLY: {unlisted}"
+    assert not stale, f"TEST_ONLY fields that code reads: {stale}"

@@ -89,19 +89,19 @@ def test_scan_value_sets_live_at_matched_scale():
 
 def test_dichotomy_zero_phi_degenerate():
     p = params(phi=PeriodicFn.zero())
-    assert condition_H_scan(p).verdict == "H*"
+    assert condition_H_scan(p, x_grid_size=64, word_depth=12).verdict == "H*"
 
 
 def test_dichotomy_cohomological_degenerate():
     p = params(phi=cohomological_phi(PeriodicFn.cosine(), 2, 0.4))
-    v = condition_H_scan(p)
+    v = condition_H_scan(p, x_grid_size=64, word_depth=12)
     assert v.verdict == "H*"
     assert v.degeneracy_bound is not None
 
 
 @pytest.mark.parametrize("b,gamma", [(2, 0.4), (2, 0.45), (3, 0.5)])
 def test_dichotomy_cosine_non_degenerate(b, gamma):
-    v = condition_H_scan(SystemParams(b, gamma, COS))
+    v = condition_H_scan(SystemParams(b, gamma, COS), x_grid_size=64, word_depth=12)
     assert v.verdict == "H"
     assert v.sup_gap > 10 * v.budget
     assert v.witness_pair[0].digits[0] != v.witness_pair[1].digits[0]
@@ -110,12 +110,12 @@ def test_dichotomy_cosine_non_degenerate(b, gamma):
 # ------------------------------------------------------------- transversality
 
 def test_transversality_zero_phi_fails():
-    assert transversality_search(params(phi=PeriodicFn.zero()), [2, 3]) is None
+    assert transversality_search(params(phi=PeriodicFn.zero()), [2, 3], grid_size=1024) is None
 
 
 def test_transversality_degenerate_fails():
     p = params(phi=cohomological_phi(PeriodicFn.cosine(), 2, 0.4))
-    assert transversality_search(p, [2, 3]) is None
+    assert transversality_search(p, [2, 3], grid_size=1024) is None
 
 
 def test_transversality_cosine_certificate():
