@@ -220,19 +220,23 @@ def tail_sampled_measure(
     seeded i.i.d. tails per head, tails at the system truncation depth and
     every sample of weight one.
 
-    The tails come from ``random_tail_series``.  For phi = a_0 + a_1 cos +
-    b_1 sin at b = 2, 3, 4 it takes one cosine per block of k = 4, 3, 2
-    digits and steps up each block by Chebyshev polynomials; its error count
-    puts each value within 135 eps (|a_1| + |b_1|) / (1 - gamma) of exact
-    arithmetic on the same word points, times ``contraction`` here.  A
-    sample can therefore land in another cell than the per-digit kernel's
-    only if it lies within that distance of a cell edge.
+    The tails come from ``random_tail_series``, which reads their first
+    digits from a prefix tile of each tip and sums the rest by the stepped
+    or the per-digit kernel; its error count puts each tail value within
+    256 eps sup|phi| / (1 - gamma) of ``eval_S_deriv`` on the same digits,
+    times ``contraction`` here.  A sample can therefore land in another cell
+    than the oracle's only if the oracle's value lies within that distance
+    of a cell edge.
     """
     _check_level(params.b, level)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     heads = np.asarray(heads, dtype=float)
     tips = np.asarray(tips, dtype=float)
+    if heads.ndim != 1 or heads.shape != tips.shape:
+        raise ValueError(
+            f"heads and tips must be vectors of one length; got shapes {heads.shape} and {tips.shape}"
+        )
     depth = params.truncation_depth
     group = max(1, _CHUNK // samples)
     hist = _Hist(len(heads) * samples)

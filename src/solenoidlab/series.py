@@ -25,14 +25,20 @@ and sampled tails.  Suffix rows given as columns of shape (r, 1) make
 ``series_over_prefixes`` return one row of values per suffix, all appended to
 one prefix tile.
 
-Seeded uniform tails (``random_tail_series``) feed their rows to the same
-kernel, except where phi has no harmonic above 1 and b <= 4.  There
-``_stepped_tails`` takes one cosine per block of k = 4, 3, 2 digits
+Seeded uniform tails (``random_tail_series``) read their first k digits as
+codes m from a prefix tile of their base point p (below), then start the
+same kernel at the tile's word point fl((p + m) / b^k) with coefficient
+gamma^k, except where phi has no harmonic above 1 and b <= 4.  There
+``_stepped_tails`` takes one cosine per block of 4, 3, 2 digits
 (b = 2, 3, 4) at the block's deepest word point and steps up the block by
 Chebyshev polynomials, cos 2 pi b t = T_b(cos 2 pi t).  Its error count,
 at most 135 eps (|a_1| + |b_1|) / (1 - gamma) against exact arithmetic on
-the same word points, fixes k; these sampled values may differ from the
-append kernel's in the last bits, while every exact path stays bit for bit.
+the same word points, fixes the block; with the word-point shift of the
+tile start, at most 4 eps per point, a sampled value lies within 256 eps
+sup|phi| / (1 - gamma) of ``eval_S_deriv`` on the same digits.  So these
+sampled values may differ from the append kernel's in the last bits, while
+every exact path stays bit for bit.  k is set by a cost count and a cap
+of 2^14 tile values (``random_tail_series``).
 
 Enumerating all words of a length uses the tile recursion: the word points
 of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1}, so
@@ -97,9 +103,12 @@ def eval_S_deriv(params: SystemParams, x: float, w: Word, order: int) -> float:
 # bulk kernels
 # --------------------------------------------------------------------------
 
-def _append_series(params: SystemParams, tau, digit_rows, order: int = 0, coef: float | None = None):
-    """sum_n c_n phi^(order)(tau_n) with tau_n = (tau_{n-1} + d_n) / b, one term
-    per digit row d_n (scalars or arrays broadcasting against tau).
+def _append_series(
+    params: SystemParams, tau, digit_rows, order: int = 0, coef: float | None = None, out=None
+):
+    """out + sum_n c_n phi^(order)(tau_n) with tau_n = (tau_{n-1} + d_n) / b,
+    one term per digit row d_n (scalars or arrays of tau's shape), added into
+    ``out`` term by term; ``out`` defaults to zeros of tau's shape.
 
     c_1 = coef, by default b^-order as for a series starting at its first
     digit; c_{n+1} = c_n gamma b^-order.
@@ -107,11 +116,11 @@ def _append_series(params: SystemParams, tau, digit_rows, order: int = 0, coef: 
     b = params.b
     step = params.gamma * float(b) ** (-order)
     coef = float(b) ** (-order) if coef is None else coef
-    out = np.zeros(np.shape(tau))
+    out = np.zeros(np.shape(tau)) if out is None else out
     for d in digit_rows:
         tau = (tau + d) / b
         del d  # a sampled digit row is not kept through the phi call
-        out = out + coef * eval_deriv(params.phi, tau, order)
+        out += coef * eval_deriv(params.phi, tau, order)
         coef *= step
     return out
 
@@ -121,25 +130,28 @@ def series_fixed_word(params: SystemParams, xs: np.ndarray, digits, order: int =
     return _append_series(params, np.asarray(xs, dtype=float), digits, order)
 
 
-def series_over_prefixes(params: SystemParams, x: float, prefix_len: int, suffix=()) -> np.ndarray:
-    """S(x, j . suffix) for every j in Lambda^prefix_len, code order.
+def series_over_prefixes(params: SystemParams, x, prefix_len: int, suffix=()) -> np.ndarray:
+    """S(x, j . suffix) for every j in Lambda^prefix_len, code order along the
+    last axis; x is one base point or an array of them, each its own tile.
 
-    Materializes b^prefix_len values per suffix row; b^prefix_len is guarded by
-    DEFAULT_CHUNK_CAP.
+    Materializes b^prefix_len values per base point and suffix row;
+    b^prefix_len is guarded by DEFAULT_CHUNK_CAP.
     """
     b = params.b
     if b**prefix_len > DEFAULT_CHUNK_CAP:
         raise ValueError(
             f"b^{prefix_len} exceeds the materialization cap; use iter_series_all_words"
         )
-    A = np.zeros(1)
-    pts = np.array([float(x)])
+    x = np.asarray(x, dtype=float)[..., None]
+    A = np.zeros(x.shape)
+    pts = x
     coef = 1.0
     for n in range(1, prefix_len + 1):
         pts = (x + np.arange(b**n, dtype=np.float64)) / float(b**n)
         A = np.tile(A, b) + coef * eval_deriv(params.phi, pts, 0)
         coef *= params.gamma
     if len(suffix):
+        pts = pts + np.zeros(np.shape(suffix[0]))  # rows of shape (r, 1): r rows of points
         A = A + _append_series(params, pts, suffix, 0, coef)
     return A
 
@@ -276,21 +288,72 @@ def random_tail_series(
 ) -> np.ndarray:
     """S(p, tail) for seeded i.i.d. tails: shape (len(base_points), samples_per).
 
-    The digit rows are drawn in order, one per level, whichever kernel sums
-    them, so the rng stream and its final state do not depend on phi.  When
-    phi has no harmonic above 1 and b is 2, 3 or 4, ``_stepped_tails`` takes
-    one cosine per block of k = 4, 3 or 2 digits and steps up the block by
-    Chebyshev polynomials; by its error count each value then lies within
-    135 eps (|a_1| + |b_1|) / (1 - gamma) of exact arithmetic on the same word
-    points.  Any other phi or base takes ``_append_series``.
+    The ``depth`` digit rows are drawn in order, one per level, whatever
+    reads them, so the rng stream and its final state depend on neither phi
+    nor the tile below.  The first k rows fold into codes m, and the prefix
+    terms are read from the tile of ``series_over_prefixes`` at each base
+    point: S(p, m), whose word points fl((p + m) / b^n) lie within eps of
+    exact.  The tail kernel then starts at tau_k = fl((p + m) / b^k), the
+    tile's own word point, with coefficient gamma^k, and adds its terms into
+    the gathered values in the per-digit kernel's order.  When phi has no
+    harmonic above 1 and b is 2, 3 or 4 that kernel is ``_stepped_tails``,
+    one cosine per block of _TAIL_BLOCK[b] digits; any other phi or base
+    takes ``_append_series``.
+
+    Error count, against ``eval_S_deriv`` on the same digits.  The oracle's
+    word points, iterated by (tau + d) / b, lie within 2 u b / (b - 1) <=
+    2 eps of exact (u = eps / 2), and so do the tail's, iterated from a
+    start within eps; a term's point moves by at most 4 eps, and its value
+    by 4 eps sup|phi'|, at most 8 pi eps (|a_1| + |b_1|) at degree 1.  That
+    is a word-point shift of the kind the series property tests count in
+    their ~100 eps sup|phi| / (1 - gamma) of common bulk-kernel rounding.
+    The stepped kernel adds its own count, at most 135 eps (|a_1| + |b_1|)
+    per term against exact arithmetic on its word points.  Weighed by
+    gamma^(n-1), a value lies within 256 eps sup|phi| / (1 - gamma) of the
+    oracle's, the tolerance of those tests.
+
+    The k rule, a cost count: level n of the tile costs b^n phi evaluations
+    per base point, and each prefix digit saves every sample one digit of
+    the tail kernel, samples_per / block cosines (block = _TAIL_BLOCK[b] for
+    the stepped kernel, 1 for the append kernel).  k is the deepest <= depth
+    with b^(k+1) block <= samples_per, a margin of b for the gather, and
+    with len(base_points) b^k <= _TAIL_TABLE.
     """
-    tau = np.repeat(np.asarray(base_points, dtype=float), samples_per)
-    rows = (rng.integers(0, params.b, size=tau.shape) for _ in range(depth))
-    phi = params.phi
-    kernel = _append_series
-    if params.b in _TAIL_BLOCK and not any(phi.a[2:] + phi.b[2:]):
-        kernel = _stepped_tails
-    return kernel(params, tau, rows).reshape(-1, samples_per)
+    heads = np.asarray(base_points, dtype=float)
+    b, phi = params.b, params.phi
+    kernel, block = _append_series, 1
+    if b in _TAIL_BLOCK and not any(phi.a[2:] + phi.b[2:]):
+        kernel, block = _stepped_tails, _TAIL_BLOCK[b]
+    k = _table_digits(b, block, depth, len(heads), samples_per)
+    rows = (rng.integers(0, b, size=len(heads) * samples_per) for _ in range(depth))
+    codes = np.zeros(len(heads) * samples_per, dtype=np.int64)
+    for n, d in zip(range(k), rows):
+        d *= b**n
+        codes += d
+        del d  # a sampled digit row is not kept while the next is drawn
+    tau = np.repeat(heads, samples_per)
+    tau += codes
+    tau /= float(b**k)
+    out = np.take_along_axis(series_over_prefixes(params, heads, k), codes.reshape(len(heads), -1), axis=1)
+    del codes  # not kept while the tail kernel runs
+    coef = math.prod((params.gamma,) * k)
+    return kernel(params, tau, rows, coef=coef, out=out.reshape(-1)).reshape(-1, samples_per)
+
+
+#: Most values the prefix tile of ``random_tail_series`` holds, over all its
+#: base points: 2^14 float64, 128 KiB.  Larger tables leave the memory the
+#: code holds as it was, but raise peak RSS through glibc's dynamic mmap
+#: threshold, which grows to the size of each freed mmapped block.
+_TAIL_TABLE = 1 << 14
+
+
+def _table_digits(b: int, block: int, depth: int, heads: int, samples_per: int) -> int:
+    """The k of ``random_tail_series``: the deepest k <= depth with
+    b^(k+1) block <= samples_per and heads b^k <= _TAIL_TABLE."""
+    k = 0
+    while k < depth and block * b ** (k + 2) <= samples_per and heads * b ** (k + 1) <= _TAIL_TABLE:
+        k += 1
+    return k
 
 
 #: Digits per block of ``_stepped_tails`` by base, fixed by its error count.
@@ -320,10 +383,13 @@ def _chebyshev_up(c: np.ndarray, s, b: int, u) -> None:
         c -= 1.0  # T_2 = 2c^2 - 1
 
 
-def _stepped_tails(params: SystemParams, tau: np.ndarray, digit_rows) -> np.ndarray:
+def _stepped_tails(
+    params: SystemParams, tau: np.ndarray, digit_rows, coef: float, out: np.ndarray
+) -> np.ndarray:
     """``_append_series`` at order 0 for phi = a_0 + a_1 cos 2 pi t + b_1 sin 2 pi t,
     with one cosine (and one sine if b_1 != 0) per block of k = _TAIL_BLOCK[b]
-    digits.  Overwrites tau.
+    digits: the first term weighs ``coef`` and every term is added into
+    ``out``, which is returned.  Overwrites tau.
 
     Digit rows are consumed in order.  After the k rows of a block, cos and
     sin are taken at the deepest word point tau_m only, by ``eval_deriv`` of
@@ -331,10 +397,15 @@ def _stepped_tails(params: SystemParams, tau: np.ndarray, digit_rows) -> np.ndar
     tau_(n-1) = b tau_n mod 1, the shallower points of the block follow by
     c <- T_b(c), s <- s U_(b-1)(c).  ``_add_block`` sums a block in Horner
     form, acc <- gamma acc + c, and adds gamma^n0 a_1 acc (likewise b_1 for
-    the sines); a_0 is added once, times the sum of all coefficients.
+    the sines); a_0 is added once, times the sum of the tail's coefficients.
+    In ``random_tail_series`` tau enters as the prefix tile's word point
+    fl((p + m) / b^k), within eps of exact, and ``out`` holds the tile's
+    S(p, m); the rows then step the points as the per-digit kernel does.
 
     Error count, done before choosing k, per term against exact arithmetic
-    on the same float word points, in units of eps = 2^-52.  A step turns an
+    on the same float word points, in units of eps = 2^-52.  It holds
+    whatever the first point; the shift of the points themselves against
+    the oracle's is counted in ``random_tail_series``.  A step turns an
     error in the angle 2 pi t into b times that error, and an error in the
     value c into at most |T_b'(c)| <= b^2 times it, the maximum sitting at
     c = +-1.  j = k - 1 steps lead from the deepest point to the top of a
@@ -364,9 +435,8 @@ def _stepped_tails(params: SystemParams, tau: np.ndarray, digit_rows) -> np.ndar
     b, gam = params.b, params.gamma
     a0, a1 = (params.phi.a + (0.0,))[:2]
     b1 = (params.phi.b + (0.0,))[1]
-    out = np.zeros(tau.shape)
     rows = iter(digit_rows)
-    term, total = 1.0, 0.0  # coefficient of the next term; sum of all coefficients
+    term, total = coef, 0.0  # coefficient of the next term; sum of all coefficients
     while True:
         coef, m = term, 0
         for d in islice(rows, _TAIL_BLOCK[b]):

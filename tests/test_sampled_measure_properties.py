@@ -11,6 +11,7 @@ cuts.
 """
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,11 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solenoidlab import measures
-from solenoidlab.measures import bin_index, build_mx_empirical, tail_sampled_measure
+from solenoidlab.measures import (
+    DiscreteMeasure,
+    bin_index,
+    build_mx_empirical,
+    tail_sampled_measure,
+    total_variation,
+)
 from solenoidlab.partitions import WordMeasure, decomposition_check, measure_B
 from solenoidlab.periodic import PeriodicFn
+from solenoidlab.separation import GENERIC_BASE_POINT
+from solenoidlab.series import series_at_codes
 from solenoidlab.words import SystemParams, Word
-from test_series_properties import POINTS, digits, systems
+from test_series_properties import POINTS, TOL_ULPS, digits, systems
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -83,3 +92,30 @@ def test_decomposition_residual_within_budget_for_base_3():
     assert rep.n_hat == rep.i_hat == 4
     assert rep.atoms == 3 ** (4 + 4) * 4
     assert math.isfinite(rep.residual) and rep.residual <= rep.error_budget
+
+
+@pytest.mark.parametrize(
+    "heads, tips", [([0.0], [0.1, 0.2, 0.3]), ([0.0, 1.0], [0.5]), ([[0.0]], [[0.5]])]
+)
+def test_heads_and_tips_of_other_shapes_are_refused(heads, tips):
+    p = SystemParams(2, 0.4, PeriodicFn.cosine())
+    shapes = f"{np.shape(heads)} and {np.shape(tips)}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        tail_sampled_measure(p, heads, tips, 1.0, 5, 4, np.random.default_rng(0))
+
+
+def test_tabled_cells_agree_with_the_oracle_on_replayed_digits():
+    """``build_mx_empirical`` reads its tails' first digits from a prefix tile
+    (2^16 samples set 12 of them); its values lie within TOL_ULPS eps
+    sup|phi| / (1 - gamma) of the per-digit series of the same digits, so a
+    sample can change cells only where that oracle value lies within the
+    bound of a cell edge, and the TV distance is at most their share."""
+    p = SystemParams(2, 0.4, PeriodicFn.cosine())
+    level, n, seed = 16, 2**16, 5
+    mu = build_mx_empirical(p, GENERIC_BASE_POINT, level, n, seed)
+    rng = np.random.default_rng(seed)
+    codes = sum(rng.integers(0, 2, size=n) << i for i in range(p.truncation_depth))
+    vals = series_at_codes(p, GENERIC_BASE_POINT, p.truncation_depth, codes)
+    r = TOL_ULPS * np.finfo(float).eps * p.fiber_bound
+    near = np.count_nonzero(bin_index(vals - r, 2, level) != bin_index(vals + r, 2, level))
+    assert total_variation(mu, DiscreteMeasure.from_values(2, level, vals)) <= near / n

@@ -25,11 +25,15 @@ import copy
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solenoidlab.periodic import PeriodicFn, sup_norm
 from solenoidlab.series import (
+    _TAIL_BLOCK,
+    _TAIL_TABLE,
+    _table_digits,
     eval_S_deriv,
     iter_series_all_words,
     random_tail_series,
@@ -250,3 +254,85 @@ def test_series_matches_mpmath_at_depth_40():
                         assert abs(oracle(p, x, word, k) - float(sums[-1])) <= tol(p, k)
                         assert abs(got - float(sums[-1])) <= tol(p, k)
                         assert abs(sums[-1] - sums[depth - 1]) <= tail_bound(p, depth, k)
+
+
+# ------------------------------------------------------------ prefix tiles
+#
+# ``random_tail_series`` reads the first k digits of every tail from a prefix
+# tile of its base point, k set by ``_table_digits`` from samples_per.  The
+# cases below pick samples_per = block b^(k+1), the least that sets k, for
+# every k up to the tile cap, so each table depth runs at least once.
+
+#: Base points of the table sweep: 0, one next to 1, and seeded ones.
+GENERIC_POINTS = np.r_[0.0, 1.0 - 1e-9, np.random.default_rng(16).random(4)]
+
+
+def check_tails_against_replay(p: SystemParams, pts, depth: int, per: int, seed: int, picks: int = 48):
+    """Every value of ``random_tail_series`` against the per-digit kernel on
+    the replayed digits, a seeded pick of them against ``eval_S_deriv``, and
+    the generator's final state against the replay's."""
+    rng = np.random.default_rng(seed)
+    replay = copy.deepcopy(rng)
+    got = random_tail_series(p, np.array(pts), depth, per, rng).reshape(-1)
+    assert got.shape == (len(pts) * per,)
+    picked = np.unique(np.r_[0, len(got) - 1, np.random.default_rng(seed).integers(0, len(got), picks)])
+    rows = []
+
+    def replayed():
+        for _ in range(depth):
+            row = replay.integers(0, p.b, size=len(got))
+            rows.append(row[picked])
+            yield row
+
+    ref = series_fixed_word(p, np.repeat(np.array(pts, dtype=float), per), replayed())
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert np.all(np.abs(got - ref) <= tol(p, 0))
+    for j, i in enumerate(picked):
+        word = Word(tuple(int(r[j]) for r in rows), p.b)
+        assert abs(got[i] - oracle(p, pts[i // per], word)) <= tol(p, 0), (i, word)
+
+
+@pytest.mark.parametrize("b", [2, 3, 4])
+@pytest.mark.parametrize("phi", [HARMONIC_1, DEGREE_3], ids=["stepped", "append"])
+def test_tabled_tails_match_oracle_at_every_table_depth(b, phi):
+    block = _TAIL_BLOCK[b] if phi is HARMONIC_1 else 1
+    k_cap = max_level(b, _TAIL_TABLE)
+    gammas = (0.05, 0.5, 0.95)
+    for k in range(1, k_cap + 1):
+        per = block * b ** (k + 1)
+        depth = k + 2 * block + 1  # whole and partial blocks after the tile
+        assert _table_digits(b, block, depth, 1, per) == k
+        assert _table_digits(b, block, depth, 1, per - 1) == k - 1
+        p = SystemParams(b, gammas[k % 3], phi)
+        check_tails_against_replay(p, [GENERIC_POINTS[k % len(GENERIC_POINTS)]], depth, per, seed=k)
+    # the cap, not the cost count, stops the tile one digit deeper; b heads
+    # share it, one digit less each
+    assert _table_digits(b, block, k_cap + 8, 1, block * b ** (k_cap + 3)) == k_cap
+    assert _table_digits(b, block, k_cap + 8, b, block * b ** (k_cap + 3)) == k_cap - 1
+
+
+@SETTINGS
+@given(st.data())
+def test_tabled_tails_over_several_heads_match_oracle(data):
+    p = data.draw(systems())
+    pts = data.draw(st.lists(POINTS, min_size=1, max_size=4))
+    per = data.draw(st.integers(4 * p.b**2, 4 * p.b**5))  # k >= 1 at every block size
+    depth = data.draw(st.integers(1, 12))
+    check_tails_against_replay(p, pts, depth, per, data.draw(st.integers(0, 2**32)))
+
+
+def test_edge_chains_through_the_table_match_oracle():
+    """The constant-row chains of the tests above, at samples_per that set
+    k = 3 over all EDGE_POINTS: every tail of a head is the same word."""
+    for b in (2, 3, 4):
+        for phi, block in ((HARMONIC_1, _TAIL_BLOCK[b]), (DEGREE_3, 1)):
+            per = block * b**4
+            assert _table_digits(b, block, DEPTH, len(EDGE_POINTS), per) == 3
+            for gamma in (0.05, 0.5, 0.95):
+                p = SystemParams(b, gamma, phi)
+                for digits in constant_rows(b):
+                    got = random_tail_series(p, EDGE_POINTS, DEPTH, per, FixedDigits(digits))
+                    assert np.array_equal(got, np.repeat(got[:, :1], per, axis=1))
+                    word = Word(digits, b)
+                    for x, g in zip(EDGE_POINTS, got[:, 0]):
+                        assert abs(g - oracle(p, x, word)) <= tol(p, 0), (b, gamma, phi, digits[0], x)
