@@ -23,7 +23,8 @@ is its one-head case; ``partitions.measure_B`` passes one head per word of a
 uniform word block, the decomposition check's whole mixture among them).
 One chunk rule fixes every sampled stream: heads go in groups of
 max(1, _CHUNK // samples) and each group's samples are drawn _CHUNK at a
-time; a larger ``_CHUNK`` would change the streams and raise peak memory.
+time.  ``_CHUNK`` = 2^18 keeps a chunk's series values, codes and kernel
+scratch to a few MiB each; another ``_CHUNK`` would change the streams.
 ``component`` conditions a measure on one cell; it is the oracle of
 ``entropy._component_entropies``, which takes the entropies of all the
 components at one level in one pass.
@@ -49,7 +50,7 @@ from .words import BIN_CAP, SystemParams, Word, bin_index, max_level
 WORK_BUDGET = 10**8
 #: The word count that fixes the depth of the experiments' exact builds.
 EXACT_WORDS = 2**23
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -220,13 +221,13 @@ def tail_sampled_measure(
     seeded i.i.d. tails per head, tails at the system truncation depth and
     every sample of weight one.
 
-    The tails come from ``random_tail_series``, which reads their first
-    digits from a prefix tile of each tip and sums the rest by the stepped
-    or the per-digit kernel; its error count puts each tail value within
-    256 eps sup|phi| / (1 - gamma) of ``eval_S_deriv`` on the same digits,
-    times ``contraction`` here.  A sample can therefore land in another cell
-    than the oracle's only if the oracle's value lies within that distance
-    of a cell edge.
+    The tails come from ``random_tail_series``, which draws each as
+    whole-word codes, reads its first digits from a prefix tile of each tip
+    and sums the rest by the stepped or the per-digit kernel; its error
+    count puts each tail value within 256 eps sup|phi| / (1 - gamma) of
+    ``eval_S_deriv`` on the same digits, times ``contraction`` here.  A
+    sample can therefore land in another cell than the oracle's only if the
+    oracle's value lies within that distance of a cell edge.
     """
     _check_level(params.b, level)
     if samples < 1:

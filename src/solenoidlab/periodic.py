@@ -19,6 +19,7 @@ coefficient, rounded once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,12 @@ class PeriodicFn:
         ]
 
 
+@functools.lru_cache(maxsize=1024)
 def _deriv_coeffs(f: PeriodicFn, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient arrays of the order-th term-wise derivative."""
+    """Coefficient arrays of the order-th term-wise derivative, read-only:
+    built once per (f, order) and shared by every call that evaluates it.
+    Equal functions share an entry; they can differ only in the sign of a
+    zero coefficient, and ``eval_deriv`` skips zero coefficients."""
     k = np.arange(len(f.a), dtype=float)
     a = np.asarray(f.a, dtype=float)
     b = np.asarray(f.b, dtype=float)
@@ -106,12 +111,16 @@ def _deriv_coeffs(f: PeriodicFn, order: int) -> tuple[np.ndarray, np.ndarray]:
     # each derivative maps (a, b) -> (2 pi k b, -2 pi k a); rotate mod 4
     r = order % 4
     if r == 0:
-        return w * a, w * b
-    if r == 1:
-        return w * b, -w * a
-    if r == 2:
-        return -w * a, -w * b
-    return -w * b, w * a
+        pair = w * a, w * b
+    elif r == 1:
+        pair = w * b, -w * a
+    elif r == 2:
+        pair = -w * a, -w * b
+    else:
+        pair = -w * b, w * a
+    for c in pair:
+        c.setflags(write=False)
+    return pair
 
 
 def eval(f: PeriodicFn, x) -> float | np.ndarray:  # noqa: A001 - spec operation name

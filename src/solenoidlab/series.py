@@ -25,20 +25,24 @@ and sampled tails.  Suffix rows given as columns of shape (r, 1) make
 ``series_over_prefixes`` return one row of values per suffix, all appended to
 one prefix tile.
 
-Seeded uniform tails (``random_tail_series``) read their first k digits as
-codes m from a prefix tile of their base point p (below), then start the
-same kernel at the tile's word point fl((p + m) / b^k) with coefficient
-gamma^k, except where phi has no harmonic above 1 and b <= 4.  There
-``_stepped_tails`` takes one cosine per block of 4, 3, 2 digits
-(b = 2, 3, 4) at the block's deepest word point and steps up the block by
-Chebyshev polynomials, cos 2 pi b t = T_b(cos 2 pi t).  Its error count,
-at most 135 eps (|a_1| + |b_1|) / (1 - gamma) against exact arithmetic on
-the same word points, fixes the block; with the word-point shift of the
-tile start, at most 4 eps per point, a sampled value lies within 256 eps
-sup|phi| / (1 - gamma) of ``eval_S_deriv`` on the same digits.  So these
-sampled values may differ from the append kernel's in the last bits, while
-every exact path stays bit for bit.  k is set by a cost count and a cap
-of 2^14 tile values (``random_tail_series``).
+Seeded uniform tails (``random_tail_series``) are drawn as whole-word
+codes, one uniform integer in [0, b^G) per G digits, G = max_level(b, 2^53),
+so every code is exact in float64.  A tail's first k digits, its code m mod
+b^k, index a prefix tile of its base point p (below).  The same append
+kernel sums the other digits, cut from the codes by divmod, from the tile's
+word point fl((p + m) / b^k) on with coefficient gamma^k, except where phi
+has no harmonic above 1 and b <= 4.  There ``_stepped_tails`` places one
+word point per block of 4, 3, 2 digits (b = 2, 3, 4), the block's deepest,
+straight from the code, fl((p + C) / b^n) for the code C of the first n
+digits, within eps of exact.  It takes one cosine there and steps up the
+block by Chebyshev polynomials, cos 2 pi b t = T_b(cos 2 pi t).  Its error
+count, at most 148 eps (|a_1| + |b_1|) / (1 - gamma) against exact
+arithmetic on the exact word points, fixes the block; with the oracle's own
+word-point error, at most 2 eps per point, a sampled value lies within 256
+eps sup|phi| / (1 - gamma) of ``eval_S_deriv`` on the same digits.  So
+these sampled values may differ from the append kernel's in the last bits,
+while every exact path stays bit for bit.  k is set by a cost count and a
+cap of 2^14 tile values (``random_tail_series``).
 
 Enumerating all words of a length uses the tile recursion: the word points
 of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1}, so
@@ -66,7 +70,7 @@ on its own against an mpmath evaluation (``tests/test_periodic.py``).
 from __future__ import annotations
 
 import math
-from itertools import islice
+import itertools
 from typing import Iterator
 
 import numpy as np
@@ -159,14 +163,20 @@ def series_over_prefixes(params: SystemParams, x, prefix_len: int, suffix=()) ->
 def series_at_codes(params: SystemParams, x: float, length: int, codes: np.ndarray) -> np.ndarray:
     """S(x, j) for the words j of given length with these codes."""
     codes = np.asarray(codes, dtype=np.int64)
+    return _append_series(params, np.full(codes.shape, float(x)), _digit_rows(codes, params.b, length))
 
-    def digit_rows():
-        rest = codes
-        for _ in range(length):
-            rest, digit = np.divmod(rest, params.b)
-            yield digit
 
-    return _append_series(params, np.full(codes.shape, float(x)), digit_rows())
+def _digit_rows(codes: np.ndarray, b: int, length: int) -> Iterator[np.ndarray]:
+    """The first ``length`` digit rows of the words with these codes, first
+    digit first: row n holds digit n + 1 of every word, cut off by divmod,
+    spelled as a floor division by the scalar b (which numpy does by a
+    multiply and shift) and a product: half np.divmod's time."""
+    rest = codes
+    for _ in range(length):
+        high = rest // b
+        digit = rest - high * b
+        rest = high
+        yield digit
 
 
 def _tile_step(params: SystemParams, x: float, n: int, values, codes, digits):
@@ -288,56 +298,80 @@ def random_tail_series(
 ) -> np.ndarray:
     """S(p, tail) for seeded i.i.d. tails: shape (len(base_points), samples_per).
 
-    The ``depth`` digit rows are drawn in order, one per level, whatever
-    reads them, so the rng stream and its final state depend on neither phi
-    nor the tile below.  The first k rows fold into codes m, and the prefix
-    terms are read from the tile of ``series_over_prefixes`` at each base
-    point: S(p, m), whose word points fl((p + m) / b^n) lie within eps of
-    exact.  The tail kernel then starts at tau_k = fl((p + m) / b^k), the
-    tile's own word point, with coefficient gamma^k, and adds its terms into
-    the gathered values in the per-digit kernel's order.  When phi has no
-    harmonic above 1 and b is 2, 3 or 4 that kernel is ``_stepped_tails``,
-    one cosine per block of _TAIL_BLOCK[b] digits; any other phi or base
-    takes ``_append_series``.
+    The tails are drawn as whole-word codes, a code's digit n + 1 standing
+    at place b^n: one draw of len(base_points) samples_per uniform codes in
+    [0, b^g) for each group of g <= G = max_level(b, 2^53) digits, first
+    digits first (``_tail_codes``; G = 53, 33, 26, 22 at b = 2..5, so
+    depth <= G takes one draw).  The rng stream and the generator's final
+    state thus depend on b, depth and the number of tails only: on neither
+    phi, nor k, nor the kernel.  The first k digits, m = code mod b^k, index
+    the tile of ``series_over_prefixes`` at each base point: S(p, m), whose
+    word points fl((p + m) / b^n) lie within eps of exact.  The tail kernel
+    adds the other terms into the gathered values, the first with
+    coefficient gamma^k.  When phi has no harmonic above 1 and b is 2, 3 or
+    4 that kernel is ``_stepped_tails``, one cosine per block of
+    _TAIL_BLOCK[b] digits at a word point placed from the codes; any other
+    phi or base takes ``_append_series`` from the tile's word point
+    fl((p + m) / b^k), on the digit rows ``_digit_rows`` cuts from the codes.
 
-    Error count, against ``eval_S_deriv`` on the same digits.  The oracle's
-    word points, iterated by (tau + d) / b, lie within 2 u b / (b - 1) <=
-    2 eps of exact (u = eps / 2), and so do the tail's, iterated from a
-    start within eps; a term's point moves by at most 4 eps, and its value
-    by 4 eps sup|phi'|, at most 8 pi eps (|a_1| + |b_1|) at degree 1.  That
-    is a word-point shift of the kind the series property tests count in
-    their ~100 eps sup|phi| / (1 - gamma) of common bulk-kernel rounding.
-    The stepped kernel adds its own count, at most 135 eps (|a_1| + |b_1|)
-    per term against exact arithmetic on its word points.  Weighed by
-    gamma^(n-1), a value lies within 256 eps sup|phi| / (1 - gamma) of the
-    oracle's, the tolerance of those tests.
+    Error count, against ``eval_S_deriv`` on the same digits (u = eps / 2).
+    The oracle's word points, iterated by (tau + d) / b, lie within
+    2 u b / (b - 1) <= 2 eps of exact.
+    - The append kernel iterates its points the same way from a start within
+      eps, so they lie within 2 eps of exact too; a term's point moves by at
+      most 4 eps against the oracle's, and its value by 4 eps sup|phi'|.
+      That is a word-point shift of the kind the series property tests count
+      in their ~100 eps sup|phi| / (1 - gamma) of common bulk-kernel rounding.
+    - The stepped kernel is counted against the exact word points: at most
+      148 eps (|a_1| + |b_1|) per term, trig calls included
+      (``_stepped_tails``).  The oracle's 2 eps adds at most 4 pi eps
+      (|a_1| + |b_1|), 161 in all, and leaves 95 of the tolerance for the
+      partial sums, rounded in another order on each side.
+    Weighed by gamma^(n-1), a value lies within 256 eps sup|phi| / (1 - gamma)
+    of the oracle's, the tolerance of those tests.
 
     The k rule, a cost count: level n of the tile costs b^n phi evaluations
     per base point, and each prefix digit saves every sample one digit of
     the tail kernel, samples_per / block cosines (block = _TAIL_BLOCK[b] for
     the stepped kernel, 1 for the append kernel).  k is the deepest <= depth
     with b^(k+1) block <= samples_per, a margin of b for the gather, and
-    with len(base_points) b^k <= _TAIL_TABLE.
+    with len(base_points) b^k <= _TAIL_TABLE.  As _TAIL_TABLE < 2^53, the
+    prefix lies in the first group.
     """
     heads = np.asarray(base_points, dtype=float)
     b, phi = params.b, params.phi
-    kernel, block = _append_series, 1
-    if b in _TAIL_BLOCK and not any(phi.a[2:] + phi.b[2:]):
-        kernel, block = _stepped_tails, _TAIL_BLOCK[b]
-    k = _table_digits(b, block, depth, len(heads), samples_per)
-    rows = (rng.integers(0, b, size=len(heads) * samples_per) for _ in range(depth))
-    codes = np.zeros(len(heads) * samples_per, dtype=np.int64)
-    for n, d in zip(range(k), rows):
-        d *= b**n
-        codes += d
-        del d  # a sampled digit row is not kept while the next is drawn
-    tau = np.repeat(heads, samples_per)
-    tau += codes
-    tau /= float(b**k)
-    out = np.take_along_axis(series_over_prefixes(params, heads, k), codes.reshape(len(heads), -1), axis=1)
-    del codes  # not kept while the tail kernel runs
+    stepped = b in _TAIL_BLOCK and not any(phi.a[2:] + phi.b[2:])
+    k = _table_digits(b, _TAIL_BLOCK[b] if stepped else 1, depth, len(heads), samples_per)
+    size = len(heads) * samples_per
+    groups = _tail_codes(b, depth, size, rng)
+    codes, g = next(groups, (np.zeros(size, dtype=np.int64), 0))
+    prefix = codes % b**k
+    out = np.take_along_axis(series_over_prefixes(params, heads, k), prefix.reshape(len(heads), -1), axis=1)
+    out = out.reshape(-1)
+    base = np.repeat(heads, samples_per)
     coef = math.prod((params.gamma,) * k)
-    return kernel(params, tau, rows, coef=coef, out=out.reshape(-1)).reshape(-1, samples_per)
+    if stepped:
+        del prefix  # not kept while the tail kernel runs
+        out = _stepped_tails(params, base, itertools.chain([(codes, g)], groups), k, coef, out)
+    else:
+        base += prefix
+        base /= float(b**k)  # the tile's word point of the prefix
+        del prefix
+        rows = _digit_rows(codes // b**k, b, g - k)
+        del codes  # only the digits after the prefix are kept
+        rest = itertools.chain.from_iterable(_digit_rows(c, b, h) for c, h in groups)
+        out = _append_series(params, base, itertools.chain(rows, rest), coef=coef, out=out)
+    return out.reshape(-1, samples_per)
+
+
+def _tail_codes(b: int, depth: int, size: int, rng: np.random.Generator) -> Iterator[tuple[np.ndarray, int]]:
+    """``size`` seeded tails of ``depth`` digits as (codes, g) per group of
+    g <= G = max_level(b, 2^53) digits, first digits first: one draw of
+    ``size`` uniform codes in [0, b^g) per group, each exact in float64."""
+    whole = max_level(b, 2**53)
+    for start in range(0, depth, whole):
+        g = min(whole, depth - start)
+        yield rng.integers(0, b**g, size=size), g
 
 
 #: Most values the prefix tile of ``random_tail_series`` holds, over all its
@@ -384,72 +418,80 @@ def _chebyshev_up(c: np.ndarray, s, b: int, u) -> None:
 
 
 def _stepped_tails(
-    params: SystemParams, tau: np.ndarray, digit_rows, coef: float, out: np.ndarray
+    params: SystemParams, base: np.ndarray, groups, n: int, coef: float, out: np.ndarray
 ) -> np.ndarray:
-    """``_append_series`` at order 0 for phi = a_0 + a_1 cos 2 pi t + b_1 sin 2 pi t,
-    with one cosine (and one sine if b_1 != 0) per block of k = _TAIL_BLOCK[b]
-    digits: the first term weighs ``coef`` and every term is added into
-    ``out``, which is returned.  Overwrites tau.
+    """``_append_series`` at order 0 for phi = a_0 + a_1 cos 2 pi t + b_1 sin 2 pi t
+    on tails given as codes, with one cosine (and one sine if b_1 != 0) per
+    block of k = _TAIL_BLOCK[b] digits: the first term weighs ``coef`` and
+    every term is added into ``out``, which is returned.
 
-    Digit rows are consumed in order.  After the k rows of a block, cos and
-    sin are taken at the deepest word point tau_m only, by ``eval_deriv`` of
-    a unit harmonic, so they round as the per-digit kernel's do; since
-    tau_(n-1) = b tau_n mod 1, the shallower points of the block follow by
+    ``groups`` yields (codes, g) per group of g digits as ``_tail_codes``
+    draws them, and is read to its end; the first n digits of the first
+    group are summed already, by the prefix tile.  Blocks run within a
+    group.  A block ending at digit n of a group places its deepest word
+    point straight from the codes, tau = fl((base + code mod b^n) / b^n),
+    with base the tails' own base points in the first group and, past a
+    seam, the word point at the previous group's last digit.  cos and sin
+    are taken at tau only, by ``eval_deriv`` of a unit harmonic, so they
+    round as the per-digit kernel's do; since the exact word points obey
+    t_(n-1) = b t_n - d_n, the shallower points of the block follow by
     c <- T_b(c), s <- s U_(b-1)(c).  ``_add_block`` sums a block in Horner
     form, acc <- gamma acc + c, and adds gamma^n0 a_1 acc (likewise b_1 for
     the sines); a_0 is added once, times the sum of the tail's coefficients.
-    In ``random_tail_series`` tau enters as the prefix tile's word point
-    fl((p + m) / b^k), within eps of exact, and ``out`` holds the tile's
-    S(p, m); the rows then step the points as the per-digit kernel does.
 
     Error count, done before choosing k, per term against exact arithmetic
-    on the same float word points, in units of eps = 2^-52.  It holds
-    whatever the first point; the shift of the points themselves against
-    the oracle's is counted in ``random_tail_series``.  A step turns an
-    error in the angle 2 pi t into b times that error, and an error in the
-    value c into at most |T_b'(c)| <= b^2 times it, the maximum sitting at
-    c = +-1.  j = k - 1 steps lead from the deepest point to the top of a
-    block.
+    on the exact word points, in units of eps = 2^-52 (u = eps / 2).  A step
+    turns an error in the angle 2 pi t into b times that error, and an error
+    in the value c into at most |T_b'(c)| <= b^2 times it, the maximum
+    sitting at c = +-1.  j = k - 1 steps lead from the deepest point to the
+    top of a block.
+    - Placement.  fl(base + C) rounds by at most u (base + C), and the
+      division by b^n is exact at b = 2, 4 and rounds by u once more at
+      b = 3, so tau lies within delta_b = 0.5, 1, 0.5 of exact (relative
+      errors, and tau < 1).  A step is exact on the reals, so it adds no
+      rounding of its own to the point: it scales the angle error only.
     - Value errors.  cos and sin round to within eps/2 at the deepest point
       (numpy's measure 0.51 ulp at worst); one step rounds to within r_b = 0.75,
       2.25, 3.75 at b = 2, 3, 4 (T_4 is T_2 twice).  At the top of a block
       they reach b^(2j)/2 + r_b (b^(2j) - 1)/(b^2 - 1).
-    - Angle errors.  The deepest angle rounds to within 2 and carries the
-      float 2 pi's relative error, 1.1 eps per unit of b^j tau_m < b^j.  Each
-      step adds 2 pi rho_b, where rho_b = |b tau_n - d_n - tau_(n-1)| <= 0.5,
-      1.75, 1 is the rounding of (tau + d) / b.  At the top they reach
-      3.1 b^j + 2 pi rho_b (b^j - 1)/(b - 1).
+    - Angle errors.  The deepest angle rounds to within 2, carries the
+      float 2 pi's relative error, 1.1 eps per unit of b^j tau < b^j, and
+      the placement's 2 pi delta_b.  At the top they reach
+      (3.1 + 2 pi delta_b) b^j.
     - The sine.  Its value errors obey ds' <= b ds + K_b dc + r'_b, with
       K_b = max |s U_(b-1)'(c)| = 2, 4 and r'_b = 0.5, 2.25 at b = 2, 3 (b = 4
       is two b = 2 steps), and stay below the cosine's.
-    The total is 95 at (b, k) = (2, 4), 135 at (3, 3) and 31 at (4, 2), for
-    a_1 and b_1 each; one digit more per block would give 289, 796 and 273.
-    Term n weighs gamma^(n-1), so a value moves by at most that bound times
+    The total is 98 at (b, k) = (2, 4), 148 at (3, 3) and 37 at (4, 2), for
+    a_1 and b_1 each; one digit more per block would give 292, 823 and 292.
+    Past a seam, base carries its own placement error, divided by b^i at a
+    point i >= 1 digits on; that adds at most 2 pi delta_b b^(j-1), to 111,
+    167 and 40, on terms that weigh at most gamma^G.  Term n weighs
+    gamma^(n-1), so a value moves by at most that bound times
     (|a_1| + |b_1|) / (1 - gamma).  The tolerance of the series property
     tests is 256 eps sup|phi| / (1 - gamma), of which about 100 covers the
     rounding of partial sums and trig calls that every bulk kernel has.
-    On constant digit rows (words held next to 0, 1/2 or 1) at 250 base
-    points, the largest deviations from ``eval_S_deriv`` were 41, 51 and 17
-    eps sup|phi| / (1 - gamma).
+    On constant digit rows (words held next to 0, 1/2 or 1) over 40 digits
+    at 250 base points, the largest deviations from ``eval_S_deriv`` were
+    24, 29 and 8 eps sup|phi| / (1 - gamma) at b = 2, 3, 4.
     """
     b, gam = params.b, params.gamma
     a0, a1 = (params.phi.a + (0.0,))[:2]
     b1 = (params.phi.b + (0.0,))[1]
-    rows = iter(digit_rows)
     term, total = coef, 0.0  # coefficient of the next term; sum of all coefficients
-    while True:
-        coef, m = term, 0
-        for d in islice(rows, _TAIL_BLOCK[b]):
-            tau += d
-            del d  # a sampled digit row is not kept while the next is drawn
-            tau /= b
-            total += term
-            term *= gam
-            m += 1
-        if m == 0:
-            break
-        if a1 or b1:
-            _add_block(out, params, tau, m, coef)
+    tau = base  # the deepest word point placed so far
+    for codes, g in groups:
+        while n < g:
+            coef, m = term, min(_TAIL_BLOCK[b], g - n)
+            n += m
+            tau = base + codes % b**n
+            tau /= float(b**n)  # the block's deepest word point
+            for _ in range(m):
+                total += term
+                term *= gam
+            if a1 or b1:
+                _add_block(out, params, tau, m, coef)
+        base, n = tau, 0  # the word point at the group's last digit
+        del codes  # not kept while the next group is drawn
     if a0:
         out += a0 * total
     return out
@@ -458,8 +500,7 @@ def _stepped_tails(
 def _add_block(out: np.ndarray, params: SystemParams, tau: np.ndarray, m: int, coef: float) -> None:
     """out += coef sum_(i<m) gamma^i (phi - a_0)(tau_i) over the m word points
     of a block, tau_0 the shallowest and tau_(m-1) = tau the deepest.  Its
-    arrays die on return, so none is kept while the next block's rows are
-    drawn."""
+    arrays die on return, so none is kept while the next block is placed."""
     b, a1, b1 = params.b, params.phi.a[1], params.phi.b[1]
     c = eval_deriv(_COS, tau, 0)
     s = eval_deriv(_SIN, tau, 0) if b1 else None

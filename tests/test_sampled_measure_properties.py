@@ -114,7 +114,7 @@ def test_tabled_cells_agree_with_the_oracle_on_replayed_digits():
     level, n, seed = 16, 2**16, 5
     mu = build_mx_empirical(p, GENERIC_BASE_POINT, level, n, seed)
     rng = np.random.default_rng(seed)
-    codes = sum(rng.integers(0, 2, size=n) << i for i in range(p.truncation_depth))
+    codes = rng.integers(0, 2**p.truncation_depth, size=n)  # one code per tail: 24 digits <= 53
     vals = series_at_codes(p, GENERIC_BASE_POINT, p.truncation_depth, codes)
     r = TOL_ULPS * np.finfo(float).eps * p.fiber_bound
     near = np.count_nonzero(bin_index(vals - r, 2, level) != bin_index(vals + r, 2, level))

@@ -15,7 +15,7 @@ the series, term by term, on depth-40 words.
 
 ``random_tail_series`` steps cosines down blocks of digits by Chebyshev
 polynomials when phi has no harmonic above 1; its own error count (in
-``series._stepped_tails``) is at most 135 eps per term, inside the same
+``series._stepped_tails``) is at most 148 eps per term, inside the same
 tolerance.  A step amplifies rounding by up to b^2 only while the cosine sits
 next to +-1, on chains random words seldom reach, so those chains are tested
 on purpose: constant digit rows that hold the word points near 0, 1/2 or 1.
@@ -146,22 +146,40 @@ def test_random_tails_match_oracle_on_replayed_digits(data):
     replay = copy.deepcopy(rng)
     got = random_tail_series(p, np.array(pts), depth, per, rng)
     assert got.shape == (len(pts), per)
-    rows = [replay.integers(0, p.b, size=len(pts) * per) for _ in range(depth)]
+    rows = list(replayed_rows(replay, p.b, depth, len(pts) * per))
     assert rng.bit_generator.state == replay.bit_generator.state
     for i, g in enumerate(got.reshape(-1)):
         word = Word(tuple(int(r[i]) for r in rows), p.b)
         assert abs(g - oracle(p, pts[i // per], word)) <= tol(p, 0)
 
 
-class FixedDigits:
-    """Stands in for the Generator of ``random_tail_series``: row n of the
-    tails is the constant digits[n]."""
+def replayed_rows(rng: np.random.Generator, b: int, depth: int, size: int):
+    """Yield the ``depth`` digit rows of ``size`` tails as ``random_tail_series``
+    draws them: per group of g <= max_level(b, 2^53) digits, one uniform code
+    in [0, b^g) per tail, whose digit n + 1 stands at place b^n."""
+    whole = max_level(b, 2**53)
+    for start in range(0, depth, whole):
+        g = min(whole, depth - start)
+        codes = rng.integers(0, b**g, size=size)
+        for _ in range(g):
+            codes, row = np.divmod(codes, b)
+            yield row
 
-    def __init__(self, digits):
-        self.rows = iter(digits)
+
+class FixedDigits:
+    """Stands in for the Generator of ``random_tail_series``: digit n of
+    every tail is the constant digits[n], handed out as the codes of the
+    next g digits when a group of g digits is drawn."""
+
+    def __init__(self, b: int, digits):
+        self.b, self.digits = b, tuple(digits)
 
     def integers(self, low, high, size):
-        return np.full(size, next(self.rows), dtype=np.int64)
+        g = max_level(self.b, high)
+        assert (low, self.b**g) == (0, high), (low, high)
+        group, self.digits = Word(self.digits[:g], self.b), self.digits[g:]
+        assert len(group) == g, "more digits drawn than given"
+        return np.full(size, group.code(), dtype=np.int64)
 
 
 #: Base points for the stepping chains: 0, a tiny x, next to 1/2 and 1, then
@@ -190,7 +208,7 @@ def test_stepped_tails_match_oracle_where_steps_amplify_rounding():
         for gamma in (0.05, 0.5, 0.95):
             p = SystemParams(b, gamma, HARMONIC_1)
             for digits in constant_rows(b):
-                got = random_tail_series(p, EDGE_POINTS, DEPTH, 1, FixedDigits(digits))
+                got = random_tail_series(p, EDGE_POINTS, DEPTH, 1, FixedDigits(b, digits))
                 word = Word(digits, b)
                 for x, g in zip(EDGE_POINTS, got[:, 0]):
                     assert abs(g - oracle(p, x, word)) <= tol(p, 0), (b, gamma, digits[0], x)
@@ -202,7 +220,7 @@ def test_stepped_tails_match_mpmath_at_depth_40():
         for gamma in (0.05, 0.95):
             p = SystemParams(b, gamma, HARMONIC_1)
             for digits in constant_rows(b):
-                got = random_tail_series(p, points, DEPTH, 1, FixedDigits(digits))
+                got = random_tail_series(p, points, DEPTH, 1, FixedDigits(b, digits))
                 for x, g in zip(points, got[:, 0]):
                     exact = mp_partial_sums(p, float(x), digits, 0)[-1]
                     assert abs(g - float(exact)) <= tol(p, 0), (b, gamma, digits[0], x)
@@ -214,7 +232,7 @@ def test_unstepped_phis_match_oracle_on_the_same_chains():
         for phi in (PeriodicFn((-0.625,), ()), DEGREE_3):
             p = SystemParams(b, 0.5, phi)
             for digits in constant_rows(b):
-                got = random_tail_series(p, EDGE_POINTS, DEPTH, 1, FixedDigits(digits))
+                got = random_tail_series(p, EDGE_POINTS, DEPTH, 1, FixedDigits(b, digits))
                 word = Word(digits, b)
                 for x, g in zip(EDGE_POINTS, got[:, 0]):
                     assert abs(g - oracle(p, x, word)) <= tol(p, 0), (b, phi, digits[0], x)
@@ -279,8 +297,7 @@ def check_tails_against_replay(p: SystemParams, pts, depth: int, per: int, seed:
     rows = []
 
     def replayed():
-        for _ in range(depth):
-            row = replay.integers(0, p.b, size=len(got))
+        for row in replayed_rows(replay, p.b, depth, len(got)):
             rows.append(row[picked])
             yield row
 
@@ -331,8 +348,49 @@ def test_edge_chains_through_the_table_match_oracle():
             for gamma in (0.05, 0.5, 0.95):
                 p = SystemParams(b, gamma, phi)
                 for digits in constant_rows(b):
-                    got = random_tail_series(p, EDGE_POINTS, DEPTH, per, FixedDigits(digits))
+                    got = random_tail_series(p, EDGE_POINTS, DEPTH, per, FixedDigits(b, digits))
                     assert np.array_equal(got, np.repeat(got[:, :1], per, axis=1))
                     word = Word(digits, b)
                     for x, g in zip(EDGE_POINTS, got[:, 0]):
                         assert abs(g - oracle(p, x, word)) <= tol(p, 0), (b, gamma, phi, digits[0], x)
+
+
+# ------------------------------------------------------------ drawn codes
+#
+# ``random_tail_series`` draws a tail as one code per group of up to
+# max_level(b, 2^53) digits: 26 at b = 4, 53 at b = 2.  Longer tails go on
+# from the word point at the group seam.
+
+
+@pytest.mark.parametrize("b, gamma, depth", [(4, 0.5, 40), (2, 0.95, None)], ids=["b4", "b2"])
+@pytest.mark.parametrize("phi", [HARMONIC_1, DEGREE_3], ids=["stepped", "append"])
+def test_tails_past_a_group_seam_match_oracle(b, gamma, depth, phi):
+    p = SystemParams(b, gamma, phi)
+    depth = depth or p.truncation_depth
+    assert depth > max_level(b, 2**53)
+    pts, per = GENERIC_POINTS[:3], 64
+    rng = np.random.default_rng(41)
+    replay = copy.deepcopy(rng)
+    got = random_tail_series(p, pts, depth, per, rng).reshape(-1)
+    rows = list(replayed_rows(replay, b, depth, len(got)))
+    assert rng.bit_generator.state == replay.bit_generator.state
+    for i, g in enumerate(got):
+        word = Word(tuple(int(r[i]) for r in rows), b)
+        assert abs(g - oracle(p, pts[i // per], word)) <= tol(p, 0), (i, word)
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 5])
+def test_tail_stream_depends_on_base_depth_and_tail_count_only(b):
+    """A stepped, a per-digit and a constant phi, and three splits of the
+    same 96 tails over base points (up to three table depths), leave the
+    generator in one state: that of the replayed group draws."""
+    depth = max_level(b, 2**53) + 3
+    replay = np.random.default_rng(b)
+    for _ in replayed_rows(replay, b, depth, 96):
+        pass
+    for phi in (HARMONIC_1, DEGREE_3, PeriodicFn((-0.625,), ())):
+        for heads, per in ((1, 96), (3, 32), (96, 1)):
+            rng = np.random.default_rng(b)
+            pts = np.linspace(0.0, 1.0, heads, endpoint=False)
+            random_tail_series(SystemParams(b, 0.5, phi), pts, depth, per, rng)
+            assert rng.bit_generator.state == replay.bit_generator.state, (phi, heads)
