@@ -233,10 +233,20 @@ def _exp_dim_estimate(cfg: RunConfig) -> tuple[dict, dict]:
     }
 
 
+def _within_cap(p: SystemParams, n: int, ell: int) -> bool:
+    """Whether the b^(nhat(n) - ell) values of scale n fit the materialization
+    cap: one value set of a separation scan, or one theta-entropy table row."""
+    return p.b ** (nhat(n, p.b, p.gamma) - ell) <= DEFAULT_CHUNK_CAP
+
+
 def _exp_separation_scan(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     ell, eps = _budget(cfg, "ell"), _budget(cfg, "epsilon")
     n_lo, n_hi = _budget(cfg, "n_min"), _budget(cfg, "n_max")
+    too_big = next((n for n in range(n_lo, n_hi + 1) if not _within_cap(p, n, ell)), None)
+    if too_big is not None:
+        raise ValueError(f"separation-scan: scale n={too_big} has b^(nhat(n) - ell) above the "
+                         f"materialization cap {DEFAULT_CHUNK_CAP}; lower n_max (now {n_hi})")
     scan = exp_separation_scan(p, GENERIC_BASE_POINT, ell, eps, range(n_lo, n_hi + 1), seed=cfg.seed)
     return {
         "x": GENERIC_BASE_POINT,
@@ -292,18 +302,14 @@ def _exp_porosity(cfg: RunConfig) -> tuple[dict, dict]:
 def _exp_theta_entropy(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     t, n_lo, n_hi = _budget(cfg, "theta_t"), _budget(cfg, "theta_n_min"), _budget(cfg, "theta_n_max")
-
-    def within_cap(n):  # the b^(nhat(n) - t) suffix classes of scale n fit in memory
-        return p.b ** (nhat(n, p.b, p.gamma) - t) <= DEFAULT_CHUNK_CAP
-
-    too_big = next((n for n in range(n_lo, n_hi + 1, 2) if not within_cap(n)), None)
+    too_big = next((n for n in range(n_lo, n_hi + 1, 2) if not _within_cap(p, n, t)), None)
     if too_big is not None:
         raise ValueError(f"theta-entropy: table scale n={too_big} has b^(nhat(n) - t) above the "
                          f"materialization cap {DEFAULT_CHUNK_CAP}; lower theta_n_max (now {n_hi})")
     cert = transversality_search(p, [t], grid_size=_budget(cfg, "grid_size"))
     if cert is None:
         return {"certificate": "none found", "t": t}, {}
-    scan_ns = [n for n in range(8, 15) if within_cap(n)]
+    scan_ns = [n for n in range(8, 15) if _within_cap(p, n, t)]
     if not scan_ns:
         raise ValueError(f"theta-entropy: no separation scale n in 8..14 has "
                          f"b^(nhat(n) - t) within the materialization cap {DEFAULT_CHUNK_CAP}")

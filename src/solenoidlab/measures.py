@@ -223,7 +223,7 @@ def tail_sampled_measure(
 
     The tails come from ``random_tail_series``, which draws each as
     whole-word codes, reads its first digits from a prefix tile of each tip
-    and sums the rest by the stepped or the per-digit kernel; its error
+    and sums the rest from the codes, a block of digits at a time; its error
     count puts each tail value within 256 eps sup|phi| / (1 - gamma) of
     ``eval_S_deriv`` on the same digits, times ``contraction`` here.  A
     sample can therefore land in another cell than the oracle's only if the

@@ -19,6 +19,7 @@ import numpy as np
 from .periodic import sup_norm
 from .series import (
     DEFAULT_CHUNK_CAP,
+    _digit_rows,
     eval_S_deriv,  # noqa: F401 - perfbench/layers.py wraps this name
     series_fixed_word,
     series_over_prefixes,
@@ -110,7 +111,7 @@ def exp_separation_scan(
             continue
         batch = max(1, DEFAULT_CHUNK_CAP // b ** (nh - ell))  # suffixes per call, by value count
         gaps = np.concatenate([
-            _min_gaps(params, x, nh - ell, [(c // b**i % b)[:, None] for i in range(ell)])
+            _min_gaps(params, x, nh - ell, [d[:, None] for d in _digit_rows(c, b, ell)])
             for c in np.split(codes, range(batch, len(codes), batch))
         ])
         k = int(np.argmin(gaps))  # the first minimal suffix, as worst word
@@ -166,11 +167,14 @@ def condition_H_scan(
     """Scan sup over an x-grid and all depth-limited word pairs with
     differing first digit of |S(x, i) - S(x, j)|.
 
-    The depth is ``word_depth``, capped so that the b^depth values of one
-    grid point fit ``DEFAULT_CHUNK_CAP``.
+    The b^word_depth values of one grid point must fit ``DEFAULT_CHUNK_CAP``;
+    a deeper ``word_depth`` is refused.
     """
-    b = params.b
-    depth = min(word_depth, max_level(b, DEFAULT_CHUNK_CAP))
+    b, depth = params.b, word_depth
+    if b**depth > DEFAULT_CHUNK_CAP:
+        raise ValueError(f"word_depth={depth} gives b^word_depth = {b**depth} values per grid point, above "
+                         f"the materialization cap {DEFAULT_CHUNK_CAP}; the largest depth allowed at "
+                         f"b={b} is {max_level(b, DEFAULT_CHUNK_CAP)}")
     grid = (np.arange(x_grid_size) + 0.5) / x_grid_size
     sup_gap = -math.inf
     wit = None
@@ -266,13 +270,11 @@ def transversality_search(
         slack_pair = 2.0 * (gam / b) ** t * phi1 / (1.0 - gam / b)
         slack_single = slack_pair / 2.0
         lip = phi2 / (b**2 - gam)
+        rows = [d[:, None] for d in _digit_rows(np.arange(b**t), b, t)]  # every prefix, one row each
         for a_code in range(b**t):
             zs = _grid_in_cell(a_code, t, b, points)
             delta_z = float(b) ** (-t) / points
-            derivs = [
-                series_fixed_word(params, zs, Word.from_code(c, t, b).digits, order=1)
-                for c in range(b**t)
-            ]
+            derivs = series_fixed_word(params, np.tile(zs, (b**t, 1)), rows, order=1)
             mins = [float(np.abs(d).min()) for d in derivs]
             for h1 in range(b**t):
                 a1 = mins[h1] - lip * delta_z / 2.0 - slack_single

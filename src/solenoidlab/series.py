@@ -15,34 +15,31 @@ evaluates finite words exactly; an infinite word stands in as its prefix of
 the system's truncation depth, and ``SystemParams.tail_bound`` bounds the
 dropped tail of S itself (order 0).
 
-Exact bulk evaluation has two kernels: the append kernel for words read
-digit by digit, and the tile step (below) for sets of words read by code.
-``_append_series`` appends digit rows to base points tau, tau <- (tau + d) / b
-per row, adding c phi^(k)(tau) with c shrinking by gamma b^-k per digit: it
-serves fixed words (``series_fixed_word``, the common suffix of
-``series_over_prefixes``), the digits of explicit codes (``series_at_codes``)
-and sampled tails.  Suffix rows given as columns of shape (r, 1) make
-``series_over_prefixes`` return one row of values per suffix, all appended to
-one prefix tile.
+Words read digit by digit go through the append kernel, ``_append_series``:
+it appends digit rows to base points tau, tau <- (tau + d) / b per row,
+adding c phi^(k)(tau) with c shrinking by gamma b^-k per digit.  It serves
+fixed words (``series_fixed_word``, the common suffix of
+``series_over_prefixes``) and, as the replay oracle, the digits of explicit
+codes (``series_at_codes``); any other array of codes that needs digit
+rows takes them from ``_digit_rows``.  Suffix rows given as columns of
+shape (r, 1) make ``series_over_prefixes`` return one row of values per
+suffix, all appended to one prefix tile.
 
 Seeded uniform tails (``random_tail_series``) are drawn as whole-word
 codes, one uniform integer in [0, b^G) per G digits, G = max_level(b, 2^53),
 so every code is exact in float64.  A tail's first k digits, its code m mod
-b^k, index a prefix tile of its base point p (below).  The same append
-kernel sums the other digits, cut from the codes by divmod, from the tile's
-word point fl((p + m) / b^k) on with coefficient gamma^k, except where phi
-has no harmonic above 1 and b <= 4.  There ``_stepped_tails`` places one
-word point per block of 4, 3, 2 digits (b = 2, 3, 4), the block's deepest,
-straight from the code, fl((p + C) / b^n) for the code C of the first n
-digits, within eps of exact.  It takes one cosine there and steps up the
-block by Chebyshev polynomials, cos 2 pi b t = T_b(cos 2 pi t).  Its error
-count, at most 148 eps (|a_1| + |b_1|) / (1 - gamma) against exact
-arithmetic on the exact word points, fixes the block; with the oracle's own
-word-point error, at most 2 eps per point, a sampled value lies within 256
-eps sup|phi| / (1 - gamma) of ``eval_S_deriv`` on the same digits.  So
-these sampled values may differ from the append kernel's in the last bits,
-while every exact path stays bit for bit.  k is set by a cost count and a
-cap of 2^14 tile values (``random_tail_series``).
+b^k, index a prefix tile of its base point p (below); k is set by a cost
+count and a cap of 2^14 tile values.  One kernel, ``_code_tails``, sums the
+other digits: it places each word point it needs straight from the code,
+fl((p + C) / b^n) for the code C of the first n digits, within 4/3 eps of
+exact, and never cuts a digit.  Where phi has no harmonic above 1 and b <= 4 it
+places one point per block of 4, 3, 2 digits (b = 2, 3, 4), the block's
+deepest, takes one cosine there and steps up the block by Chebyshev
+polynomials, cos 2 pi b t = T_b(cos 2 pi t); any other phi or base takes
+phi at every point.  A sampled value lies within 256 eps sup|phi| /
+(1 - gamma) of ``eval_S_deriv`` on the same digits, so it may differ in the
+last bits from the append kernel's, while every exact path stays bit for
+bit.
 
 Enumerating all words of a length uses the tile recursion: the word points
 of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1}, so
@@ -107,12 +104,10 @@ def eval_S_deriv(params: SystemParams, x: float, w: Word, order: int) -> float:
 # bulk kernels
 # --------------------------------------------------------------------------
 
-def _append_series(
-    params: SystemParams, tau, digit_rows, order: int = 0, coef: float | None = None, out=None
-):
-    """out + sum_n c_n phi^(order)(tau_n) with tau_n = (tau_{n-1} + d_n) / b,
-    one term per digit row d_n (scalars or arrays of tau's shape), added into
-    ``out`` term by term; ``out`` defaults to zeros of tau's shape.
+def _append_series(params: SystemParams, tau, digit_rows, order: int = 0, coef: float | None = None):
+    """sum_n c_n phi^(order)(tau_n) with tau_n = (tau_{n-1} + d_n) / b, one
+    term per digit row d_n (scalars or arrays of tau's shape): the kernel of
+    words given as digit rows, never of codes.
 
     c_1 = coef, by default b^-order as for a series starting at its first
     digit; c_{n+1} = c_n gamma b^-order.
@@ -120,10 +115,9 @@ def _append_series(
     b = params.b
     step = params.gamma * float(b) ** (-order)
     coef = float(b) ** (-order) if coef is None else coef
-    out = np.zeros(np.shape(tau)) if out is None else out
+    out = np.zeros(np.shape(tau))
     for d in digit_rows:
         tau = (tau + d) / b
-        del d  # a sampled digit row is not kept through the phi call
         out += coef * eval_deriv(params.phi, tau, order)
         coef *= step
     return out
@@ -304,63 +298,41 @@ def random_tail_series(
     digits first (``_tail_codes``; G = 53, 33, 26, 22 at b = 2..5, so
     depth <= G takes one draw).  The rng stream and the generator's final
     state thus depend on b, depth and the number of tails only: on neither
-    phi, nor k, nor the kernel.  The first k digits, m = code mod b^k, index
+    phi, nor k, nor the block.  The first k digits, m = code mod b^k, index
     the tile of ``series_over_prefixes`` at each base point: S(p, m), whose
-    word points fl((p + m) / b^n) lie within eps of exact.  The tail kernel
+    word points fl((p + m) / b^n) lie within eps of exact.  ``_code_tails``
     adds the other terms into the gathered values, the first with
-    coefficient gamma^k.  When phi has no harmonic above 1 and b is 2, 3 or
-    4 that kernel is ``_stepped_tails``, one cosine per block of
-    _TAIL_BLOCK[b] digits at a word point placed from the codes; any other
-    phi or base takes ``_append_series`` from the tile's word point
-    fl((p + m) / b^k), on the digit rows ``_digit_rows`` cuts from the codes.
+    coefficient gamma^k, one block of digits at a time: _TAIL_BLOCK[b]
+    digits when phi has no harmonic above 1 and b is 2, 3 or 4, one digit
+    otherwise.
 
-    Error count, against ``eval_S_deriv`` on the same digits (u = eps / 2).
-    The oracle's word points, iterated by (tau + d) / b, lie within
-    2 u b / (b - 1) <= 2 eps of exact.
-    - The append kernel iterates its points the same way from a start within
-      eps, so they lie within 2 eps of exact too; a term's point moves by at
-      most 4 eps against the oracle's, and its value by 4 eps sup|phi'|.
-      That is a word-point shift of the kind the series property tests count
-      in their ~100 eps sup|phi| / (1 - gamma) of common bulk-kernel rounding.
-    - The stepped kernel is counted against the exact word points: at most
-      148 eps (|a_1| + |b_1|) per term, trig calls included
-      (``_stepped_tails``).  The oracle's 2 eps adds at most 4 pi eps
-      (|a_1| + |b_1|), 161 in all, and leaves 95 of the tolerance for the
-      partial sums, rounded in another order on each side.
+    Error count, against ``eval_S_deriv`` on the same digits, whose word
+    points, iterated by (tau + d) / b, lie within 2 eps of exact.
+    - Every word point is placed from the code, within delta_b <= eps of
+      exact, delta_b / b more past a group seam; ``_code_tails`` counts what
+      that and its trig calls cost a term.
     Weighed by gamma^(n-1), a value lies within 256 eps sup|phi| / (1 - gamma)
-    of the oracle's, the tolerance of those tests.
+    of the oracle's, the tolerance of the series property tests.
 
     The k rule, a cost count: level n of the tile costs b^n phi evaluations
     per base point, and each prefix digit saves every sample one digit of
-    the tail kernel, samples_per / block cosines (block = _TAIL_BLOCK[b] for
-    the stepped kernel, 1 for the append kernel).  k is the deepest <= depth
-    with b^(k+1) block <= samples_per, a margin of b for the gather, and
-    with len(base_points) b^k <= _TAIL_TABLE.  As _TAIL_TABLE < 2^53, the
-    prefix lies in the first group.
+    the tail kernel, samples_per / block phi evaluations.  k is the deepest
+    <= depth with b^(k+1) block <= samples_per, a margin of b for the
+    gather, and with len(base_points) b^k <= _TAIL_TABLE.  As _TAIL_TABLE <
+    2^53, the prefix lies in the first group.
     """
     heads = np.asarray(base_points, dtype=float)
     b, phi = params.b, params.phi
-    stepped = b in _TAIL_BLOCK and not any(phi.a[2:] + phi.b[2:])
-    k = _table_digits(b, _TAIL_BLOCK[b] if stepped else 1, depth, len(heads), samples_per)
+    block = 1 if any(phi.a[2:] + phi.b[2:]) else _TAIL_BLOCK.get(b, 1)
+    k = _table_digits(b, block, depth, len(heads), samples_per)
     size = len(heads) * samples_per
     groups = _tail_codes(b, depth, size, rng)
     codes, g = next(groups, (np.zeros(size, dtype=np.int64), 0))
     prefix = codes % b**k
     out = np.take_along_axis(series_over_prefixes(params, heads, k), prefix.reshape(len(heads), -1), axis=1)
-    out = out.reshape(-1)
+    del prefix  # not kept while the tail kernel runs
     base = np.repeat(heads, samples_per)
-    coef = math.prod((params.gamma,) * k)
-    if stepped:
-        del prefix  # not kept while the tail kernel runs
-        out = _stepped_tails(params, base, itertools.chain([(codes, g)], groups), k, coef, out)
-    else:
-        base += prefix
-        base /= float(b**k)  # the tile's word point of the prefix
-        del prefix
-        rows = _digit_rows(codes // b**k, b, g - k)
-        del codes  # only the digits after the prefix are kept
-        rest = itertools.chain.from_iterable(_digit_rows(c, b, h) for c, h in groups)
-        out = _append_series(params, base, itertools.chain(rows, rest), coef=coef, out=out)
+    out = _code_tails(params, base, itertools.chain([(codes, g)], groups), k, block, out.reshape(-1))
     return out.reshape(-1, samples_per)
 
 
@@ -390,9 +362,10 @@ def _table_digits(b: int, block: int, depth: int, heads: int, samples_per: int) 
     return k
 
 
-#: Digits per block of ``_stepped_tails`` by base, fixed by its error count.
+#: Digits per block of ``_code_tails`` by base where phi has no harmonic
+#: above 1, fixed by its error count.
 _TAIL_BLOCK = {2: 4, 3: 3, 4: 2}
-#: cos 2 pi t and sin 2 pi t, which ``_stepped_tails`` evaluates at block seeds.
+#: cos 2 pi t and sin 2 pi t, which ``_code_tails`` evaluates at block seeds.
 _COS, _SIN = PeriodicFn.cosine(), PeriodicFn.sine()
 
 
@@ -417,13 +390,11 @@ def _chebyshev_up(c: np.ndarray, s, b: int, u) -> None:
         c -= 1.0  # T_2 = 2c^2 - 1
 
 
-def _stepped_tails(
-    params: SystemParams, base: np.ndarray, groups, n: int, coef: float, out: np.ndarray
+def _code_tails(
+    params: SystemParams, base: np.ndarray, groups, n: int, block: int, out: np.ndarray
 ) -> np.ndarray:
-    """``_append_series`` at order 0 for phi = a_0 + a_1 cos 2 pi t + b_1 sin 2 pi t
-    on tails given as codes, with one cosine (and one sine if b_1 != 0) per
-    block of k = _TAIL_BLOCK[b] digits: the first term weighs ``coef`` and
-    every term is added into ``out``, which is returned.
+    """Add the order-0 series of tails given as codes into ``out`` and return
+    it, ``block`` digits at a time; the first term weighs gamma^n.
 
     ``groups`` yields (codes, g) per group of g digits as ``_tail_codes``
     draws them, and is read to its end; the first n digits of the first
@@ -431,64 +402,82 @@ def _stepped_tails(
     group.  A block ending at digit n of a group places its deepest word
     point straight from the codes, tau = fl((base + code mod b^n) / b^n),
     with base the tails' own base points in the first group and, past a
-    seam, the word point at the previous group's last digit.  cos and sin
-    are taken at tau only, by ``eval_deriv`` of a unit harmonic, so they
-    round as the per-digit kernel's do; since the exact word points obey
-    t_(n-1) = b t_n - d_n, the shallower points of the block follow by
-    c <- T_b(c), s <- s U_(b-1)(c).  ``_add_block`` sums a block in Horner
-    form, acc <- gamma acc + c, and adds gamma^n0 a_1 acc (likewise b_1 for
-    the sines); a_0 is added once, times the sum of the tail's coefficients.
+    seam, the word point at the previous group's last digit.  a_0 is added
+    once, times the sum of the tail's coefficients.  At block 1 a term is
+    coef (phi - a_0)(tau), by ``eval_deriv``.  Longer blocks, of
+    _TAIL_BLOCK[b] digits, serve phi = a_0 + a_1 cos 2 pi t + b_1 sin 2 pi t
+    with one cosine (and one sine if b_1 != 0) at tau, by ``eval_deriv`` of
+    a unit harmonic, so they round as a per-digit term's do; since the exact
+    word points obey t_(n-1) = b t_n - d_n, the shallower points of the
+    block follow by c <- T_b(c), s <- s U_(b-1)(c).  ``_add_block`` sums a
+    block in Horner form, acc <- gamma acc + c, and adds gamma^n0 a_1 acc
+    (likewise b_1 for the sines).
 
-    Error count, done before choosing k, per term against exact arithmetic
-    on the exact word points, in units of eps = 2^-52 (u = eps / 2).  A step
-    turns an error in the angle 2 pi t into b times that error, and an error
-    in the value c into at most |T_b'(c)| <= b^2 times it, the maximum
-    sitting at c = +-1.  j = k - 1 steps lead from the deepest point to the
-    top of a block.
+    Error count, done before choosing the blocks, per term, in units of
+    eps = 2^-52 (u = eps / 2).
     - Placement.  fl(base + C) rounds by at most u (base + C), and the
-      division by b^n is exact at b = 2, 4 and rounds by u once more at
-      b = 3, so tau lies within delta_b = 0.5, 1, 0.5 of exact (relative
-      errors, and tau < 1).  A step is exact on the reals, so it adds no
-      rounding of its own to the point: it scales the angle error only.
-    - Value errors.  cos and sin round to within eps/2 at the deepest point
-      (numpy's measure 0.51 ulp at worst); one step rounds to within r_b = 0.75,
-      2.25, 3.75 at b = 2, 3, 4 (T_4 is T_2 twice).  At the top of a block
-      they reach b^(2j)/2 + r_b (b^(2j) - 1)/(b^2 - 1).
-    - Angle errors.  The deepest angle rounds to within 2, carries the
-      float 2 pi's relative error, 1.1 eps per unit of b^j tau < b^j, and
-      the placement's 2 pi delta_b.  At the top they reach
-      (3.1 + 2 pi delta_b) b^j.
-    - The sine.  Its value errors obey ds' <= b ds + K_b dc + r'_b, with
-      K_b = max |s U_(b-1)'(c)| = 2, 4 and r'_b = 0.5, 2.25 at b = 2, 3 (b = 4
-      is two b = 2 steps), and stay below the cosine's.
-    The total is 98 at (b, k) = (2, 4), 148 at (3, 3) and 37 at (4, 2), for
-    a_1 and b_1 each; one digit more per block would give 292, 823 and 292.
-    Past a seam, base carries its own placement error, divided by b^i at a
-    point i >= 1 digits on; that adds at most 2 pi delta_b b^(j-1), to 111,
-    167 and 40, on terms that weigh at most gamma^G.  Term n weighs
-    gamma^(n-1), so a value moves by at most that bound times
-    (|a_1| + |b_1|) / (1 - gamma).  The tolerance of the series property
-    tests is 256 eps sup|phi| / (1 - gamma), of which about 100 covers the
-    rounding of partial sums and trig calls that every bulk kernel has.
-    On constant digit rows (words held next to 0, 1/2 or 1) over 40 digits
-    at 250 base points, the largest deviations from ``eval_S_deriv`` were
-    24, 29 and 8 eps sup|phi| / (1 - gamma) at b = 2, 3, 4.
+      division by b^n is exact where b is a power of 2 and rounds by u once
+      more elsewhere, so tau lies within delta_b = 0.5 or 1 of exact
+      (relative errors, and tau < 1).  Past a seam, base carries its own
+      placement error, divided by b^i at a point i >= 1 digits on: at most
+      delta_b / b more, 4/3 in all at worst (b = 3).
+    - Block 1, against ``eval_S_deriv``, whose points lie within
+      2 u b / (b - 1) <= 2 of exact: a term's two points lie within 3.34 of
+      each other, and its values within 3.34 sup|phi'| <= 21 K sup|phi| at
+      degree K (Bernstein), 63 at K = 3.  The rest, one ``eval_deriv`` call
+      on each side and a_0 and the partial sums added in another order, is
+      the common rounding the series property tests allow, ~100 of 256.
+    - Longer blocks, against exact arithmetic on the exact word points.  A
+      step turns an error in the angle 2 pi t into b times that error, and
+      an error in the value c into at most |T_b'(c)| <= b^2 times it, the
+      maximum sitting at c = +-1.  j = k - 1 steps lead from the deepest
+      point to the top of a block of k digits.  A step is exact on the
+      reals, so it adds no rounding of its own to the point: it scales the
+      angle error only.
+      - Value errors.  cos and sin round to within eps/2 at the deepest
+        point (numpy's measure 0.51 ulp at worst); one step rounds to within
+        r_b = 0.75, 2.25, 3.75 at b = 2, 3, 4 (T_4 is T_2 twice).  At the
+        top of a block they reach b^(2j)/2 + r_b (b^(2j) - 1)/(b^2 - 1).
+      - Angle errors.  The deepest angle rounds to within 2, carries the
+        float 2 pi's relative error, 1.1 eps per unit of b^j tau < b^j, and
+        the placement's 2 pi delta_b.  At the top they reach
+        (3.1 + 2 pi delta_b) b^j.
+      - The sine.  Its value errors obey ds' <= b ds + K_b dc + r'_b, with
+        K_b = max |s U_(b-1)'(c)| = 2, 4 and r'_b = 0.5, 2.25 at b = 2, 3
+        (b = 4 is two b = 2 steps), and stay below the cosine's.
+      The total is 98 at (b, k) = (2, 4), 148 at (3, 3) and 37 at (4, 2),
+      for a_1 and b_1 each; one digit more per block would give 292, 823
+      and 292.  Past a seam the base's placement error adds at most
+      2 pi delta_b b^(j-1), to 111, 167 and 40, on terms that weigh at most
+      gamma^G.  The oracle's word-point error of 2 adds at most 4 pi
+      (|a_1| + |b_1|), 161 in all, and leaves 95 of the tests' 256 for the
+      partial sums, rounded in another order on each side.
+    Term n weighs gamma^(n-1), so a value moves by at most these bounds
+    over 1 - gamma.  On constant digit rows (words held next to 0, 1/2 or 1)
+    over 40 digits at 250 base points, the largest deviations of blocked
+    tails from ``eval_S_deriv`` were 24, 29 and 8 eps sup|phi| / (1 - gamma)
+    at b = 2, 3, 4.
     """
     b, gam = params.b, params.gamma
     a0, a1 = (params.phi.a + (0.0,))[:2]
     b1 = (params.phi.b + (0.0,))[1]
-    term, total = coef, 0.0  # coefficient of the next term; sum of all coefficients
+    wave = PeriodicFn((0.0,) + params.phi.a[1:], params.phi.b)  # phi - a_0
+    term, total = math.prod((gam,) * n), 0.0  # coefficient of the next term; sum of all coefficients
     tau = base  # the deepest word point placed so far
     for codes, g in groups:
         while n < g:
-            coef, m = term, min(_TAIL_BLOCK[b], g - n)
+            coef, m = term, min(block, g - n)
             n += m
             tau = base + codes % b**n
             tau /= float(b**n)  # the block's deepest word point
             for _ in range(m):
                 total += term
                 term *= gam
-            if a1 or b1:
+            if block == 1:
+                values = eval_deriv(wave, tau, 0)
+                values *= coef  # in place: no temporary for the product
+                out += values
+            elif a1 or b1:
                 _add_block(out, params, tau, m, coef)
         base, n = tau, 0  # the word point at the group's last digit
         del codes  # not kept while the next group is drawn

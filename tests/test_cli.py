@@ -374,3 +374,35 @@ def test_two_level_weierstrass_window_exits_2_before_any_experiment(tmp_path, ca
     assert not (tmp_path / "out").exists()
     RunConfig(default_params(), ("weierstrass",), budgets={"w_level_max": 6})
     RunConfig(default_params(), ("dim-estimate",), budgets={"w_level_max": 5})  # not its window
+
+
+def test_separation_scales_over_the_cap_exit_2_before_the_scan(tmp_path, capsys, monkeypatch):
+    # nhat(14) = 28 here: the value sets of n = 14 hold b^(28 - 4) values
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran although a scale is over the cap")
+
+    monkeypatch.setattr(cli, "exp_separation_scan", scan)
+    config = tmp_path / "b2.json"
+    config.write_text(json.dumps({"system": {"b": 2, "gamma": 0.7, "phi": [[1, 1.0, 0.0]]}}))
+    outdir = tmp_path / "out"
+    assert main(["separation-scan", "--config", str(config), "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "separation-scan" in err and "n=14" in err and "n_max" in err and "cap 4194304" in err
+    assert not outdir.exists()
+
+
+def test_dichotomy_depth_over_the_cap_exits_2(tmp_path, capsys):
+    # 4^11 values per grid point fit the cap, 4^12 do not
+    config = tmp_path / "b4.json"
+    config.write_text(json.dumps({"system": {"b": 4, "gamma": 0.5, "phi": [[1, 1.0, 0.0]]}}))
+
+    def run(depth, outdir):
+        argv = ["dichotomy-check", "--config", str(config), "--outdir", str(outdir)]
+        return main(argv + ["--budget", "x_grid=1", "--budget", f"word_depth={depth}"])
+
+    assert run(11, tmp_path / "d11") == 0
+    capsys.readouterr()
+    assert run(12, tmp_path / "d12") == 2
+    err = capsys.readouterr().err
+    assert "word_depth=12" in err and str(4**12) in err and "is 11" in err
+    assert not (tmp_path / "d12").exists()

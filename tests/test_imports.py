@@ -14,6 +14,10 @@ And every annotated field of a public class in the package is read as an
 attribute (``obj.field``) by the package or by the benchmark, or is listed in
 TEST_ONLY as Class.field.  The check goes by name: a field named like an
 attribute read elsewhere (``n``, ``level``, ``b``) passes on that read.
+
+And every module-level private function, class and constant of the package
+is read somewhere in the package, so no leftover of a removed code path
+stays behind.
 """
 
 import ast
@@ -148,3 +152,31 @@ def test_record_fields_are_read_or_listed_as_test_only():
     stale = sorted(name for name in TEST_ONLY if name in fields and name not in unused)
     assert not unlisted, f"record fields only tests read, missing from TEST_ONLY: {unlisted}"
     assert not stale, f"TEST_ONLY fields that code reads: {stale}"
+
+
+def _private_definitions(tree: ast.Module):
+    """Names of the module-level private functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_private_definitions_are_read_in_the_package():
+    defined, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {f"{path.stem}.{name}" for name in _private_definitions(tree)}
+        read |= {
+            n.attr if isinstance(n, ast.Attribute) else n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+    unread = sorted(name for name in defined if name.split(".", 1)[1] not in read)
+    assert defined, "no private definitions found"
+    assert not unread, f"private definitions nothing in the package reads: {unread}"

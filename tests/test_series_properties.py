@@ -15,7 +15,7 @@ the series, term by term, on depth-40 words.
 
 ``random_tail_series`` steps cosines down blocks of digits by Chebyshev
 polynomials when phi has no harmonic above 1; its own error count (in
-``series._stepped_tails``) is at most 148 eps per term, inside the same
+``series._code_tails``) is at most 148 eps per term, inside the same
 tolerance.  A step amplifies rounding by up to b^2 only while the cosine sits
 next to +-1, on chains random words seldom reach, so those chains are tested
 on purpose: constant digit rows that hold the word points near 0, 1/2 or 1.
@@ -227,7 +227,7 @@ def test_stepped_tails_match_mpmath_at_depth_40():
 
 
 def test_unstepped_phis_match_oracle_on_the_same_chains():
-    """phi of degree >= 2 keeps the per-digit kernel; constant phi sums no trig."""
+    """phi of degree >= 2 takes blocks of one digit; constant phi sums no trig."""
     for b in (2, 3, 4):
         for phi in (PeriodicFn((-0.625,), ()), DEGREE_3):
             p = SystemParams(b, 0.5, phi)
@@ -309,10 +309,10 @@ def check_tails_against_replay(p: SystemParams, pts, depth: int, per: int, seed:
         assert abs(got[i] - oracle(p, pts[i // per], word)) <= tol(p, 0), (i, word)
 
 
-@pytest.mark.parametrize("b", [2, 3, 4])
+@pytest.mark.parametrize("b", [2, 3, 4, 5])
 @pytest.mark.parametrize("phi", [HARMONIC_1, DEGREE_3], ids=["stepped", "append"])
 def test_tabled_tails_match_oracle_at_every_table_depth(b, phi):
-    block = _TAIL_BLOCK[b] if phi is HARMONIC_1 else 1
+    block = _TAIL_BLOCK.get(b, 1) if phi is HARMONIC_1 else 1
     k_cap = max_level(b, _TAIL_TABLE)
     gammas = (0.05, 0.5, 0.95)
     for k in range(1, k_cap + 1):
@@ -341,8 +341,8 @@ def test_tabled_tails_over_several_heads_match_oracle(data):
 def test_edge_chains_through_the_table_match_oracle():
     """The constant-row chains of the tests above, at samples_per that set
     k = 3 over all EDGE_POINTS: every tail of a head is the same word."""
-    for b in (2, 3, 4):
-        for phi, block in ((HARMONIC_1, _TAIL_BLOCK[b]), (DEGREE_3, 1)):
+    for b in (2, 3, 4, 5):
+        for phi, block in ((HARMONIC_1, _TAIL_BLOCK.get(b, 1)), (DEGREE_3, 1)):
             per = block * b**4
             assert _table_digits(b, block, DEPTH, len(EDGE_POINTS), per) == 3
             for gamma in (0.05, 0.5, 0.95):
@@ -358,11 +358,13 @@ def test_edge_chains_through_the_table_match_oracle():
 # ------------------------------------------------------------ drawn codes
 #
 # ``random_tail_series`` draws a tail as one code per group of up to
-# max_level(b, 2^53) digits: 26 at b = 4, 53 at b = 2.  Longer tails go on
-# from the word point at the group seam.
+# max_level(b, 2^53) digits: 22 at b = 5, 26 at b = 4, 53 at b = 2.  Longer
+# tails go on from the word point at the group seam.
 
 
-@pytest.mark.parametrize("b, gamma, depth", [(4, 0.5, 40), (2, 0.95, None)], ids=["b4", "b2"])
+@pytest.mark.parametrize(
+    "b, gamma, depth", [(4, 0.5, 40), (2, 0.95, None), (5, 0.5, 30)], ids=["b4", "b2", "b5"]
+)
 @pytest.mark.parametrize("phi", [HARMONIC_1, DEGREE_3], ids=["stepped", "append"])
 def test_tails_past_a_group_seam_match_oracle(b, gamma, depth, phi):
     p = SystemParams(b, gamma, phi)
