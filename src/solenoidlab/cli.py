@@ -54,7 +54,7 @@ from .separation import (
     exp_separation_scan,
     transversality_search,
 )
-from .series import DEFAULT_CHUNK_CAP
+from .series import check_tile, tile_digits
 from .words import SystemParams, max_level, nhat
 
 #: Every budget the experiments read, with its default; an integer default
@@ -233,20 +233,12 @@ def _exp_dim_estimate(cfg: RunConfig) -> tuple[dict, dict]:
     }
 
 
-def _within_cap(p: SystemParams, n: int, ell: int) -> bool:
-    """Whether the b^(nhat(n) - ell) values of scale n fit the materialization
-    cap: one value set of a separation scan, or one theta-entropy table row."""
-    return p.b ** (nhat(n, p.b, p.gamma) - ell) <= DEFAULT_CHUNK_CAP
-
-
 def _exp_separation_scan(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     ell, eps = _budget(cfg, "ell"), _budget(cfg, "epsilon")
     n_lo, n_hi = _budget(cfg, "n_min"), _budget(cfg, "n_max")
-    too_big = next((n for n in range(n_lo, n_hi + 1) if not _within_cap(p, n, ell)), None)
-    if too_big is not None:
-        raise ValueError(f"separation-scan: scale n={too_big} has b^(nhat(n) - ell) above the "
-                         f"materialization cap {DEFAULT_CHUNK_CAP}; lower n_max (now {n_hi})")
+    for n in range(n_lo, n_hi + 1):  # a value set of b^(nhat(n) - ell) words per scale
+        check_tile(p.b, nhat(n, p.b, p.gamma) - ell, f"separation-scan: scale n={n} (lower n_max={n_hi})")
     scan = exp_separation_scan(p, GENERIC_BASE_POINT, ell, eps, range(n_lo, n_hi + 1), seed=cfg.seed)
     return {
         "x": GENERIC_BASE_POINT,
@@ -302,17 +294,13 @@ def _exp_porosity(cfg: RunConfig) -> tuple[dict, dict]:
 def _exp_theta_entropy(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     t, n_lo, n_hi = _budget(cfg, "theta_t"), _budget(cfg, "theta_n_min"), _budget(cfg, "theta_n_max")
-    too_big = next((n for n in range(n_lo, n_hi + 1, 2) if not _within_cap(p, n, t)), None)
-    if too_big is not None:
-        raise ValueError(f"theta-entropy: table scale n={too_big} has b^(nhat(n) - t) above the "
-                         f"materialization cap {DEFAULT_CHUNK_CAP}; lower theta_n_max (now {n_hi})")
+    for n in range(n_lo, n_hi + 1, 2):  # a table row of b^(nhat(n) - t) words per scale
+        check_tile(p.b, nhat(n, p.b, p.gamma) - t, f"theta-entropy: scale n={n} (lower theta_n_max={n_hi})")
     cert = transversality_search(p, [t], grid_size=_budget(cfg, "grid_size"))
     if cert is None:
         return {"certificate": "none found", "t": t}, {}
-    scan_ns = [n for n in range(8, 15) if _within_cap(p, n, t)]
-    if not scan_ns:
-        raise ValueError(f"theta-entropy: no separation scale n in 8..14 has "
-                         f"b^(nhat(n) - t) within the materialization cap {DEFAULT_CHUNK_CAP}")
+    check_tile(p.b, nhat(8, p.b, p.gamma) - t, "theta-entropy: the first separation scale n=8")
+    scan_ns = [n for n in range(8, 15) if nhat(n, p.b, p.gamma) - t <= tile_digits(p.b)]
     scan = exp_separation_scan(p, cert.x0, t, 0.25, scan_ns, seed=cfg.seed)
     C = separation_exponent(scan, p.b)
     rows = theta_entropy_table(p, cert, range(n_lo, n_hi + 1, 2), C)
@@ -323,6 +311,7 @@ def _exp_theta_entropy(cfg: RunConfig) -> tuple[dict, dict]:
         "h_prime": cert.h_prime.to_string(),
         "a": cert.a.to_string(),
         "C": C,
+        "separation_scales": scan_ns,
         "coarse_last": rows[-1].coarse,
         "fine_last": rows[-1].fine,
         "fine_limit": log_ratio(p.b, p.gamma),

@@ -152,7 +152,8 @@ def box_count_dimension(
         raise ValueError("need at least 3 levels")
     lmax = levels[-1]
     if lmax > max_level(b, 2**30):
-        raise ValueError("finest level too deep for packed box keys")
+        raise ValueError(f"finest level {lmax} too deep for packed box keys: b^{lmax} = {b**lmax} is above "
+                         f"{2**30}; the deepest level allowed at b={b} is {max_level(b, 2**30)}")
     keys = np.empty(0, dtype=np.int64)
     for xb, yb in points:
         k = _occupied_keys(np.asarray(xb, dtype=float), np.asarray(yb, dtype=float), lmax, b)

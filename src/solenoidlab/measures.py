@@ -5,11 +5,12 @@ stored as a sorted table of int64 cell indices with positive weights that
 sum to one.  Levels are capped so that index arithmetic stays exact in
 float64 (b^level <= 2^45).  ``_Hist`` is the one rule that accumulates
 (index, weight) chunks; ``_merge_cells`` is its one-chunk case.  Its callers
-are the sampled builder, ``mix``, ``convolve`` and the exact builder, which
-feeds it the word counts of ``series._fiber_cells`` (whole numbers, so their
-sums are exact) and divides by b^depth once.  ``np.add.at`` adds each
-cell's weights in stream order, so a table is independent of how its stream
-is chunked, and zero-weight cells are kept.  While the index span is at most
+are the sampled builder, ``mix``, ``convolve``, ``total_variation`` (mu's
+weights, then nu's negated) and the exact builder, which feeds it the word
+counts of ``series._fiber_cells`` (whole numbers, so their sums are exact)
+and divides by b^depth once.  ``np.add.at`` adds each cell's weights in
+stream order, so a table is independent of how its stream is chunked, and
+zero-weight cells are kept.  While the index span is at most
 2 * items + 1024 (items: the caller's declared total) the table is a dense
 window of sums plus an occupancy mask, and a chunk costs O(chunk); a regrown
 window takes a margin of 1/16 of its old span on each side that grew.
@@ -201,7 +202,8 @@ def _check_level(b: int, level: int) -> None:
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > max_level(b, BIN_CAP):
-        raise ValueError(f"level {level} too deep for exact base-{b} cell indices")
+        raise ValueError(f"level {level} too deep: b^{level} = {b**level} is above the exact-index cap "
+                         f"{BIN_CAP}; the deepest level allowed at b={b} is {max_level(b, BIN_CAP)}")
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +371,10 @@ def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """TV distance of two measures on the same lattice."""
     if mu.b != nu.b or mu.level != nu.level:
         raise ValueError("measures must share base and level")
-    allidx = sorted_unique(np.concatenate([mu.indices, nu.indices]), kind="stable")
-    wm = np.zeros(len(allidx))
-    wn = np.zeros(len(allidx))
-    wm[np.searchsorted(allidx, mu.indices)] = mu.weights
-    wn[np.searchsorted(allidx, nu.indices)] = nu.weights
-    return float(0.5 * np.abs(wm - wn).sum())
+    hist = _Hist(len(mu.indices) + len(nu.indices))
+    hist.add(mu.indices, mu.weights)
+    hist.add(nu.indices, -nu.weights)
+    return float(0.5 * np.abs(hist.w).sum())
 
 
 # ---------------------------------------------------------------------------

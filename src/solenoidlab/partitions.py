@@ -39,7 +39,7 @@ from .measures import (
 )
 from .separation import GENERIC_BASE_POINT, SeparationScan, TransversalityCertificate
 from .series import (
-    DEFAULT_CHUNK_CAP,
+    check_tile,
     eval_S,
     random_tail_series,  # noqa: F401 - perfbench/layers.py wraps this name
     series_at_codes,  # noqa: F401 - perfbench/layers.py wraps this name
@@ -142,8 +142,7 @@ def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
     nh = nhat(n, params.b, params.gamma)
     if nh <= t:
         raise ValueError("matched scale nhat must exceed the suffix length")
-    if params.b ** (nh - t) > DEFAULT_CHUNK_CAP:
-        raise ValueError("suffix-class enumeration exceeds the materialization cap")
+    check_tile(params.b, nh - t, f"theta_measure: n={n}, suffix length t={t}")
     return WordMeasure(params, nh - t, a)
 
 
@@ -195,19 +194,16 @@ def decomposition_check(
     gets weight b^(-2t) b^(-(i_hat - t)) b^(-(n_hat - t)) = b^(-(n_hat + i_hat)),
     the same for every word of length n_hat + i_hat whatever t is, so the
     mixture is the uniform block over Lambda^(n_hat + i_hat): one
-    ``measure_B`` draw over that tile with tail-sampled series values.  A
-    tile above ``DEFAULT_CHUNK_CAP`` words is refused before the exact side
-    is built.  The reported budget combines both truncation tails and a
-    multinomial sampling estimate.
+    ``measure_B`` draw over that tile with tail-sampled series values.  The
+    tile passes ``series.check_tile`` before the exact side is built.  The
+    reported budget combines both truncation tails and a multinomial
+    sampling estimate.
     """
     b = params.b
     x0 = GENERIC_BASE_POINT
     nh = nhat(n, b, params.gamma)
     ih = nhat(i_level, b, params.gamma)
-    if b ** (nh + ih) > DEFAULT_CHUNK_CAP:
-        raise ValueError(f"decomposition-check: n={n}, i_level={i_level} give a tile of "
-                         f"b^(nhat + ihat) = {b ** (nh + ih)} words, above the "
-                         f"materialization cap {DEFAULT_CHUNK_CAP}")
+    check_tile(b, nh + ih, f"decomposition-check: n={n}, i_level={i_level}")
     depth_lhs = min(params.truncation_depth, max_level(b, EXACT_WORDS) + 1)
     lhs = build_mx_exact(params, x0, level, depth_lhs)
     tile = WordMeasure(params, nh + ih, Word.empty(b))

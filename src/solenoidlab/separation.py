@@ -20,6 +20,7 @@ from .periodic import sup_norm
 from .series import (
     DEFAULT_CHUNK_CAP,
     _digit_rows,
+    check_tile,
     eval_S_deriv,  # noqa: F401 - perfbench/layers.py wraps this name
     series_fixed_word,
     series_over_prefixes,
@@ -167,14 +168,11 @@ def condition_H_scan(
     """Scan sup over an x-grid and all depth-limited word pairs with
     differing first digit of |S(x, i) - S(x, j)|.
 
-    The b^word_depth values of one grid point must fit ``DEFAULT_CHUNK_CAP``;
-    a deeper ``word_depth`` is refused.
+    The b^word_depth values of one grid point are one tile, which must pass
+    ``series.check_tile``.
     """
     b, depth = params.b, word_depth
-    if b**depth > DEFAULT_CHUNK_CAP:
-        raise ValueError(f"word_depth={depth} gives b^word_depth = {b**depth} values per grid point, above "
-                         f"the materialization cap {DEFAULT_CHUNK_CAP}; the largest depth allowed at "
-                         f"b={b} is {max_level(b, DEFAULT_CHUNK_CAP)}")
+    check_tile(b, depth, f"condition_H_scan: word_depth={depth}")
     grid = (np.arange(x_grid_size) + 0.5) / x_grid_size
     sup_gap = -math.inf
     wit = None
@@ -265,7 +263,8 @@ def transversality_search(
     b, gam = params.b, params.gamma
     for t in sorted(int(v) for v in t_list):
         if b**t > WORD_CAP:
-            raise ValueError("prefix budget b^t too large")
+            raise ValueError(f"transversality_search: prefix budget b^t at t={t} is {b**t}, above WORD_CAP "
+                             f"{WORD_CAP}; the largest t allowed at b={b} is {max_level(b, WORD_CAP)}")
         points = max(8, grid_size // b**t)
         slack_pair = 2.0 * (gam / b) ** t * phi1 / (1.0 - gam / b)
         slack_single = slack_pair / 2.0

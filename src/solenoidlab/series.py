@@ -56,7 +56,10 @@ digits by ``_tile_step``, and is the oracle of the third; ``_fiber_cells``,
 behind ``measures.build_mx_exact``, walks the word tree by ``_tile_step``
 only down to the depth at which the tail bound fixes a subtree's cell, and
 yields cells with the words each stands for.  Where chunks or slices are
-cut changes memory, never a value.
+cut changes memory, never a value.  One rule caps a tile: ``check_tile``
+refuses b^L words above ``DEFAULT_CHUNK_CAP``, naming the caller, b^L, the
+cap and ``tile_digits(b)``, the longest L allowed, and no other module
+compares with the cap.  Of the enumerators only the first can be refused.
 
 ``eval_S_deriv`` stays a scalar loop over Python floats and shares only the
 phi kernel ``periodic.eval_deriv`` with the bulk path, so it serves as the
@@ -77,6 +80,18 @@ from .words import SystemParams, Word, bin_index, max_level
 
 #: Largest array a bulk enumeration materializes at once.
 DEFAULT_CHUNK_CAP = 1 << 22
+
+
+def tile_digits(b: int) -> int:
+    """The longest word length whose tile, b^length words, fits DEFAULT_CHUNK_CAP."""
+    return max_level(b, DEFAULT_CHUNK_CAP)
+
+
+def check_tile(b: int, length: int, what: str) -> None:
+    """Refuse a tile of b^length words above DEFAULT_CHUNK_CAP, naming ``what``."""
+    if b**length > DEFAULT_CHUNK_CAP:
+        raise ValueError(f"{what} needs b^{length} = {b**length} words, above the materialization cap "
+                         f"{DEFAULT_CHUNK_CAP}; the longest length allowed at b={b} is {tile_digits(b)}")
 
 
 def eval_S(params: SystemParams, x: float, w: Word) -> float:
@@ -118,7 +133,9 @@ def _append_series(params: SystemParams, tau, digit_rows, order: int = 0, coef: 
     out = np.zeros(np.shape(tau))
     for d in digit_rows:
         tau = (tau + d) / b
-        out += coef * eval_deriv(params.phi, tau, order)
+        term = eval_deriv(params.phi, tau, order)
+        term *= coef  # in place: no temporary for the product
+        out += term
         coef *= step
     return out
 
@@ -132,14 +149,10 @@ def series_over_prefixes(params: SystemParams, x, prefix_len: int, suffix=()) ->
     """S(x, j . suffix) for every j in Lambda^prefix_len, code order along the
     last axis; x is one base point or an array of them, each its own tile.
 
-    Materializes b^prefix_len values per base point and suffix row;
-    b^prefix_len is guarded by DEFAULT_CHUNK_CAP.
+    Materializes b^prefix_len values per base point and suffix row.
     """
     b = params.b
-    if b**prefix_len > DEFAULT_CHUNK_CAP:
-        raise ValueError(
-            f"b^{prefix_len} exceeds the materialization cap; use iter_series_all_words"
-        )
+    check_tile(b, prefix_len, f"series_over_prefixes: prefix_len={prefix_len}")
     x = np.asarray(x, dtype=float)[..., None]
     A = np.zeros(x.shape)
     pts = x
@@ -227,11 +240,11 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     saves while most nodes survive (b gamma > 1).  So a level settles its
     nodes only when the settled ones are the majority; until then the walk
     keeps every node, which is the tile recursion itself.  Memory rule: at
-    the chunk seam t = max_level(b, DEFAULT_CHUNK_CAP) the nodes go on in
-    slices of max(1, b^(2t - depth)), so no level of a slice materializes
-    more values than one chunk of ``iter_series_all_words`` while depth <=
-    2t, as ``measures.WORK_BUDGET`` ensures, and the slices yield no more
-    often than its chunks.  Codes are int32: b^depth <= WORK_BUDGET < 2^31.
+    the chunk seam t = tile_digits(b) the nodes go on in slices of
+    max(1, b^(2t - depth)), so no level of a slice materializes more values
+    than one chunk of ``iter_series_all_words`` while depth <= 2t, as
+    ``measures.WORK_BUDGET`` ensures, and the slices yield no more often
+    than its chunks.  Codes are int32: b^depth <= WORK_BUDGET < 2^31.
 
     The slack bounds the rounding between v and V.  Let u = eps / 2,
     F = fiber_bound, T_n the exact tail sup|phi| gamma^n / (1 - gamma), and
@@ -248,7 +261,7 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     4 (depth + 2 degree + 4) eps F is at least twice that.
     """
     b = params.b
-    t = min(depth, max_level(b, DEFAULT_CHUNK_CAP))
+    t = min(depth, tile_digits(b))
     slack = 4.0 * (depth + 2 * params.phi.degree + 4) * np.finfo(float).eps * params.fiber_bound
     children = np.arange(b, dtype=np.int32)[:, None]
 

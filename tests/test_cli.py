@@ -291,18 +291,23 @@ def test_theta_entropy_scans_only_scales_within_the_cap(tmp_path, capsys):
     assert run(0.5, "theta_n_min=6", "theta_n_max=8") == 0
     rows = (tmp_path / "0.5" / "theta-entropy" / "theta_entropy.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["6", "8"]
+    summary = (tmp_path / "0.5" / "theta-entropy" / "summary.txt").read_text()
+    assert "separation_scales: [8, 9]" in summary.splitlines()
     assert run(0.6) == 2
     err = capsys.readouterr().err
     assert "theta-entropy" in err and "materialization cap 4194304" in err
 
 
-def test_failed_theta_entropy_leaves_no_partial_result(tmp_path):
-    # the transversality search certifies a triple here, but the separation
-    # scan that follows finds no scale within the materialization cap
+def test_failed_theta_entropy_leaves_no_partial_result(tmp_path, capsys):
+    # the table's one scale fits the cap and the transversality search
+    # certifies a triple here, but the separation scan that follows finds no
+    # scale within the materialization cap: nhat(8) - 2 = 16 at b = 3
     config = tmp_path / "b3.json"
     config.write_text(json.dumps({"system": {"b": 3, "gamma": 0.6, "phi": [[1, 1.0, 0.0]]}}))
     outdir = tmp_path / "out"
-    assert main(["theta-entropy", "--config", str(config), "--outdir", str(outdir)]) == 2
+    budgets = ["--budget", "theta_n_min=6", "--budget", "theta_n_max=6"]
+    assert main(["theta-entropy", "--config", str(config), "--outdir", str(outdir)] + budgets) == 2
+    assert "separation scale n=8" in capsys.readouterr().err
     assert not outdir.exists()
 
 

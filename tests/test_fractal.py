@@ -56,6 +56,8 @@ def test_box_count_rejections():
     pts = np.random.default_rng(1).random((100, 2))
     with pytest.raises(ValueError):
         box_count_dimension([(pts[:, 0], pts[:, 1])], [4, 5])
+    with pytest.raises(ValueError, match=r"level 31 .* 2147483648 .*1073741824.* b=2 is 30"):
+        box_count_dimension([(pts[:, 0], pts[:, 1])], [29, 30, 31])
 
 
 def test_box_count_rejects_indices_outside_packed_keys():

@@ -18,6 +18,9 @@ attribute read elsewhere (``n``, ``level``, ``b``) passes on that read.
 And every module-level private function, class and constant of the package
 is read somewhere in the package, so no leftover of a removed code path
 stays behind.
+
+And no module but ``series`` compares anything with DEFAULT_CHUNK_CAP, so
+the tile-size rule is decided in one place.
 """
 
 import ast
@@ -180,3 +183,18 @@ def test_private_definitions_are_read_in_the_package():
     unread = sorted(name for name in defined if name.split(".", 1)[1] not in read)
     assert defined, "no private definitions found"
     assert not unread, f"private definitions nothing in the package reads: {unread}"
+
+
+def test_only_series_compares_with_the_tile_cap():
+    """``series.check_tile`` and ``series.tile_digits`` are the one tile-size
+    rule: no other module compares anything with DEFAULT_CHUNK_CAP."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "series":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", None)) == "DEFAULT_CHUNK_CAP" for n in ast.walk(node)
+            ):
+                offenders.append(f"{path.stem}:{node.lineno}")
+    assert not offenders, f"comparisons with DEFAULT_CHUNK_CAP outside series: {offenders}"

@@ -83,7 +83,7 @@ def test_budget_and_level_guards():
     p = params()
     with pytest.raises(ValueError):
         build_mx_exact(p, 0.3, 6, 40)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"level 50 .* 1125899906842624 .*cap 35184372088832.* b=2 is 45"):
         build_mx_exact(p, 0.3, 50, 10)
     with pytest.raises(ValueError):
         build_mx_empirical(p, 0.3, 60, 100, seed=0)

@@ -17,7 +17,7 @@ from solenoidlab.partitions import (
 )
 from solenoidlab.periodic import PeriodicFn
 from solenoidlab.separation import exp_separation_scan, transversality_search
-from solenoidlab.series import eval_S
+from solenoidlab.series import series_at_codes
 from solenoidlab.words import SystemParams, Word, nhat
 
 COS = PeriodicFn.cosine()
@@ -127,12 +127,13 @@ def test_measure_B_matches_direct_sampling(cert):
     rng = np.random.default_rng(4)
     n = 30000
     depth = p.truncation_depth
-    vals = np.empty(n)
     codes = xi.codes[rng.integers(0, len(xi.codes), n)]
-    for k in range(n):
-        w = Word.from_code(int(codes[k]), xi.prefix_len, 2).concat(xi.suffix).concat(q)
-        tail = Word(tuple(int(v) for v in rng.integers(0, 2, depth)), 2)
-        vals[k] = eval_S(p, cert.x0, w.concat(tail))
+    tails = np.array([rng.integers(0, 2, depth) for _ in range(n)])  # one draw per sample
+    # every word w . suffix . q . tail as one code, replayed digit by digit
+    head = xi.suffix.concat(q)
+    lead = xi.prefix_len + len(head)
+    words = codes + 2**xi.prefix_len * head.code() + 2**lead * (tails @ 2 ** np.arange(depth))
+    vals = series_at_codes(p, cert.x0, lead + depth, words)
     mc = DiscreteMeasure.from_values(2, level, vals)
     assert total_variation(mu, mc) < 0.02
 

@@ -111,6 +111,8 @@ def test_dichotomy_cosine_non_degenerate(b, gamma):
 
 def test_transversality_zero_phi_fails():
     assert transversality_search(params(phi=PeriodicFn.zero()), [2, 3], grid_size=1024) is None
+    with pytest.raises(ValueError, match=r"t=13 is 8192, above WORD_CAP 4096; .* b=2 is 12"):
+        transversality_search(params(phi=PeriodicFn.zero()), [13], grid_size=1024)
 
 
 def test_transversality_degenerate_fails():
