@@ -55,7 +55,7 @@ from .separation import (
     transversality_search,
 )
 from .series import check_tile, tile_digits
-from .words import SystemParams, max_level, nhat
+from .words import SystemParams, check_draw, max_level, nhat
 
 #: Every budget the experiments read, with its default; an integer default
 #: makes an integer budget.  A callable default depends on the system or on
@@ -272,6 +272,7 @@ def _exp_porosity(cfg: RunConfig) -> tuple[dict, dict]:
     m, k = _budget(cfg, "porosity_m"), _budget(cfg, "porosity_k")
     depth, eps = _budget(cfg, "porosity_depth"), _budget(cfg, "porosity_eps")
     alpha = min(1.0, log_ratio(p.b, p.gamma))
+    check_draw(p.b, word_len, f"porosity: porosity_word_len={word_len}")
     rng = np.random.default_rng(cfg.seed)
     rows, hits = [], 0
     n_words = _budget(cfg, "porosity_words")
@@ -288,6 +289,9 @@ def _exp_porosity(cfg: RunConfig) -> tuple[dict, dict]:
         "m": m,
         "scale_range": (1, k),
         "porous_fraction_of_words": hits / n_words,
+        "porosity_depth": depth,
+        "dropped_tail_cells": p.tail_bound(depth) * p.b ** (k + m),  # the dropped tail, in level-(k+m) cells
+        "vacuous": alpha + eps > 1.0,  # (1/m) H <= 1: every component counts
     }, {"porosity.csv": _csv("word_code,fraction,verdict", rows)}
 
 

@@ -25,7 +25,7 @@ from .series import (
     series_fixed_word,
     series_over_prefixes,
 )
-from .words import SystemParams, Word, max_level, nhat
+from .words import SystemParams, Word, check_draw, max_level, nhat
 
 #: A generic irrational base point used wherever one representative x is needed.
 GENERIC_BASE_POINT = math.sqrt(2.0) - 1.0
@@ -98,6 +98,7 @@ def exp_separation_scan(
     """
     n_list = sorted(int(v) for v in n_list)
     b = params.b
+    check_draw(b, ell, f"exp_separation_scan: ell={ell}")
     sampled = b**ell > WORD_CAP
     rng = np.random.default_rng(seed)
     codes = np.sort(rng.integers(0, b**ell, WORD_CAP)) if sampled else np.arange(b**ell)

@@ -45,21 +45,21 @@ Enumerating all words of a length uses the tile recursion: the word points
 of all length-n prefixes are exactly {(x + m) / b^n : m = 0..b^n - 1}, so
 level n costs one phi evaluation on b^n points, about b/(b-1) b^n points in
 all against n b^n for appending per word.  Term n + 1 is gamma^n phi at the
-word point, gamma^n a repeated product.  ``_tile_step`` takes that step for
-any set of words given by their codes.
+word point, gamma^n a repeated product.  ``_tile_step``, the one place that
+step is written, takes it for any set of words given by their codes.
 
-Three enumerators cover all b^depth words at a base point, and all three
-give each word the same float value.  ``series_over_prefixes`` returns every
-value of one tile; ``iter_series_all_words`` yields them in code order in
-chunks of b^t values, t = max_level(b, chunk_cap), taking each chunk's high
-digits by ``_tile_step``, and is the oracle of the third; ``_fiber_cells``,
-behind ``measures.build_mx_exact``, walks the word tree by ``_tile_step``
-only down to the depth at which the tail bound fixes a subtree's cell, and
-yields cells with the words each stands for.  Where chunks or slices are
-cut changes memory, never a value.  One rule caps a tile: ``check_tile``
-refuses b^L words above ``DEFAULT_CHUNK_CAP``, naming the caller, b^L, the
-cap and ``tile_digits(b)``, the longest L allowed, and no other module
-compares with the cap.  Of the enumerators only the first can be refused.
+Three enumerators cover all b^depth words at a base point.  All three grow
+words by ``_tile_step`` from the empty word, so they give each word the same
+float value, and read the cap at call time.  ``series_over_prefixes``
+returns every value of one tile; ``iter_series_all_words`` yields them in
+code order in chunks of b^t values, t = tile_digits(b), and is the oracle of
+the third; ``_fiber_cells``, behind ``measures.build_mx_exact``, walks the
+word tree only until the tail bound fixes a subtree's cell, and yields cells
+with the words each stands for.  Where chunks or slices are cut changes
+memory, never a value.  One rule caps a tile: ``check_tile`` refuses b^L
+words above ``DEFAULT_CHUNK_CAP``, naming the caller, b^L, the cap and
+``tile_digits(b)``, the longest L allowed, and no other module compares with
+the cap.  Of the enumerators only the first can be refused.
 
 ``eval_S_deriv`` stays a scalar loop over Python floats and shares only the
 phi kernel ``periodic.eval_deriv`` with the bulk path, so it serves as the
@@ -154,17 +154,13 @@ def series_over_prefixes(params: SystemParams, x, prefix_len: int, suffix=()) ->
     b = params.b
     check_tile(b, prefix_len, f"series_over_prefixes: prefix_len={prefix_len}")
     x = np.asarray(x, dtype=float)[..., None]
-    A = np.zeros(x.shape)
-    pts = x
-    coef = 1.0
-    for n in range(1, prefix_len + 1):
-        pts = (x + np.arange(b**n, dtype=np.float64)) / float(b**n)
-        A = np.tile(A, b) + coef * eval_deriv(params.phi, pts, 0)
-        coef *= params.gamma
+    values, codes = np.zeros(x.shape), np.zeros(1, dtype=np.int32)  # the empty word
+    for n in range(prefix_len):
+        values, codes = _tile_step(params, x[..., None], n, values, codes, np.arange(b, dtype=np.int32))
     if len(suffix):
-        pts = pts + np.zeros(np.shape(suffix[0]))  # rows of shape (r, 1): r rows of points
-        A = A + _append_series(params, pts, suffix, 0, coef)
-    return A
+        pts = (x + codes) / float(b**prefix_len) + np.zeros(np.shape(suffix[0]))  # rows of shape (r, 1): r rows
+        values = values + _append_series(params, pts, suffix, 0, math.prod((params.gamma,) * prefix_len))
+    return values
 
 
 def series_at_codes(params: SystemParams, x: float, length: int, codes: np.ndarray) -> np.ndarray:
@@ -186,32 +182,30 @@ def _digit_rows(codes: np.ndarray, b: int, length: int) -> Iterator[np.ndarray]:
         yield digit
 
 
-def _tile_step(params: SystemParams, x: float, n: int, values, codes, digits):
+def _tile_step(params: SystemParams, x, n: int, values, codes, digits):
     """(values, codes) of the length-(n+1) words below length-n words: code
-    m + d b^n for each digit row d (broadcasting against codes, rows first)
-    and value v + gamma^n phi((x + m + d b^n) / b^(n+1)), gamma^n a repeated
-    product as in ``series_over_prefixes``."""
-    codes = codes + digits * params.b**n
+    m + d b^n for each digit d (a scalar or a row) and value v + gamma^n
+    phi((x + m + d b^n) / b^(n+1)).  Codes stay flat; base points passed as
+    x[..., None] keep their leading axes in the values."""
+    codes = codes + np.reshape(digits, (-1, 1)) * params.b**n
     term = x + codes
     term /= float(params.b ** (n + 1))
     term = eval_deriv(params.phi, term, 0)
     term *= math.prod((params.gamma,) * n)
-    term += values
-    return term.ravel(), codes.ravel()
+    term += values[..., None, :]
+    return term.reshape(term.shape[:-2] + (-1,)), codes.ravel()
 
 
-def iter_series_all_words(
-    params: SystemParams, x: float, depth: int, chunk_cap: int = DEFAULT_CHUNK_CAP
-) -> Iterator[np.ndarray]:
+def iter_series_all_words(params: SystemParams, x: float, depth: int) -> Iterator[np.ndarray]:
     """Yield S(x, j) over all j in Lambda^depth in code order, chunked.
 
-    The first t levels (b^t <= chunk_cap) use the tile recursion; each chunk
-    takes its remaining high digits by ``_tile_step``, so its values are those
-    of ``series_over_prefixes(params, x, depth)`` bit for bit, wherever the
-    chunks are cut.
+    The first t = tile_digits(b) levels are the tile of
+    ``series_over_prefixes``; each chunk takes its remaining high digits by
+    ``_tile_step``, so its values are those of ``series_over_prefixes(params,
+    x, depth)`` bit for bit, wherever the chunks are cut.
     """
     b = params.b
-    t = min(depth, max_level(b, chunk_cap))
+    t = min(depth, tile_digits(b))
     A = series_over_prefixes(params, x, t)
     low = np.arange(b**t)
     for high in range(b ** (depth - t)):
@@ -226,20 +220,23 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     over the words j of Lambda^depth, each entry standing for ``words`` words.
     Summed per cell, the words give the histogram of ``iter_series_all_words``.
 
-    A walk down the word tree.  A node of length n is a code m with its
-    value v, the series of its prefix; ``_tile_step`` gives its children,
-    so every value is the one ``series_over_prefixes`` computes.  A node
-    with bin_index(v - r_n) == bin_index(v + r_n), r_n = tail_bound(n) +
-    slack, is settled: its b^(depth-n) words go to that cell and it is
-    dropped.  Every word below it ends at a value V with |V - v| <= r_n, so
+    A walk down the word tree from the empty word.  A node of length n is a
+    code m with its value v, the series of its prefix; ``_tile_step`` gives its
+    children, so every value is the one ``series_over_prefixes`` computes.  A
+    node with bin_index(v - r_n) == bin_index(v + r_n), r_n = tail_bound(n) +
+    slack, is settled: its b^(depth-n) words go to that cell and it is dropped.
+    Every word below it ends at a value V with |V - v| <= r_n, so
     fl(v - r_n) <= V <= fl(v + r_n), and floor(fl(V b^level)) is monotone in
-    V: the words per cell are exactly those of binning all b^depth values.
-    The other nodes are binned at the leaves.
+    V: the words per cell are exactly those of binning all b^depth values.  The
+    other nodes are binned at the leaves.
 
     Cost rule: settling compacts the node arrays, which costs more than it
     saves while most nodes survive (b gamma > 1).  So a level settles its
     nodes only when the settled ones are the majority; until then the walk
-    keeps every node, which is the tile recursion itself.  Memory rule: at
+    keeps every node, which is the tile recursion itself.  Settling at any
+    settled node was measured and is mixed (cos, x = 0.3, b = 2, gamma = 0.4):
+    27 -> 43 MiB tracemalloc peak, 0.062 -> 0.070 s at level 20, depth 24;
+    132 -> 103 MiB, 0.50 -> 0.44 s at level 24, depth 22.  Memory rule: at
     the chunk seam t = tile_digits(b) the nodes go on in slices of
     max(1, b^(2t - depth)), so no level of a slice materializes more values
     than one chunk of ``iter_series_all_words`` while depth <= 2t, as
@@ -263,32 +260,23 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     b = params.b
     t = min(depth, tile_digits(b))
     slack = 4.0 * (depth + 2 * params.phi.degree + 4) * np.finfo(float).eps * params.fiber_bound
-    children = np.arange(b, dtype=np.int32)[:, None]
-
-    def radius(n):
-        return params.tail_bound(n) + slack
-
-    # the first length at which one cell can hold a node's whole radius
-    first = next((n for n in range(depth) if 2.0 * radius(n) * float(b) ** level < 1.0), depth)
+    children = np.arange(b, dtype=np.int32)
 
     def descend(start, stop, values, codes):
         """Take the nodes from length start to stop, yielding the settled
         ones' cells; return the others."""
         for n in range(start, stop):
-            if n >= first:
-                r = radius(n)
-                lo = bin_index(values - r, b, level)
-                settled = lo == bin_index(values + r, b, level)
-                if 2 * np.count_nonzero(settled) > len(values):  # most settle: drop them
-                    yield lo[settled], b ** (depth - n)
-                    values, codes = values[~settled], codes[~settled]
+            r = params.tail_bound(n) + slack
+            lo = bin_index(values - r, b, level)
+            settled = lo == bin_index(values + r, b, level)
+            if 2 * np.count_nonzero(settled) > len(values):  # most settle: drop them
+                yield lo[settled], b ** (depth - n)
+                values, codes = values[~settled], codes[~settled]
+            del lo, settled  # not kept while the children are formed
             values, codes = _tile_step(params, x, n, values, codes, children)
         return values, codes
 
-    n = min(first, t)
-    values, codes = yield from descend(
-        n, t, series_over_prefixes(params, x, n), np.arange(b**n, dtype=np.int32)
-    )
+    values, codes = yield from descend(0, t, np.zeros(1), np.zeros(1, dtype=np.int32))
     step = b ** max(0, 2 * t - depth)
     for start in range(0, len(values), step):
         leaves = (yield from descend(t, depth, values[start:start + step], codes[start:start + step]))[0]

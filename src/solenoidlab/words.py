@@ -176,3 +176,9 @@ def max_level(b: int, limit) -> int:
         level, power = level + 1, power * b
     return level
 
+
+def check_draw(b: int, length: int, what: str) -> None:
+    """Refuse a seeded draw of codes below b^length > 2^63, numpy's int64 bound, naming ``what``."""
+    if b**length > 2**63:
+        raise ValueError(f"{what} draws codes below b^{length} = {b**length}, above the limit 2^63 of a "
+                         f"seeded draw; the largest value allowed at b={b} is {max_level(b, 2**63)}")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from solenoidlab import cli
-from solenoidlab.cli import BUDGETS, RunConfig, default_params, main, run_experiment
+from solenoidlab.cli import BUDGETS, WINDOWS, RunConfig, default_params, main, run_experiment
 from solenoidlab.periodic import PeriodicFn, cohomological_phi
 from solenoidlab.words import SystemParams
 
@@ -317,6 +317,45 @@ def test_budget_reads_match_the_budget_table():
     read = {c.args[1].value for c in calls if isinstance(c.args[1], ast.Constant)}
     assert sorted(read - set(BUDGETS)) == [], "budgets read but not declared"
     assert sorted(set(BUDGETS) - read) == [], "budgets declared but never read"
+
+
+def test_every_window_bounds_declared_budgets():
+    named = {name for windows in WINDOWS.values() for lo, hi, _ in windows for name in (lo, hi)}
+    assert sorted(named - set(BUDGETS)) == [], "windows over undeclared budgets"
+
+
+@pytest.mark.parametrize(
+    "gamma, depth, tail_cells, vacuous",
+    [(0.4, 14, 0.00458129844906667, False), (0.7, 14, 23.15001421991251, True)],
+)
+def test_porosity_reports_its_depth_dropped_tail_and_vacuous_verdict(tmp_path, gamma, depth, tail_cells, vacuous):
+    # at b gamma >= 1 alpha_reference is 1: every component lies below 1 + eps
+    config = tmp_path / "b2.json"
+    config.write_text(json.dumps({"system": {"b": 2, "gamma": gamma, "phi": [[1, 1.0, 0.0]]}}))
+    argv = ["porosity", "--config", str(config), "--outdir", str(tmp_path / "out"), "--budget", "porosity_words=1"]
+    assert main(argv) == 0
+    summary = (tmp_path / "out" / "porosity" / "summary.txt").read_text().splitlines()
+    assert f"porosity_depth: {depth}" in summary
+    assert f"dropped_tail_cells: {tail_cells!r}" in summary
+    assert f"vacuous: {vacuous}" in summary
+    assert len((tmp_path / "out" / "porosity" / "porosity.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, budget, b, power",
+    [("porosity", "porosity_word_len", 2, 64), ("porosity", "porosity_word_len", 3, 40),
+     ("separation-scan", "ell", 2, 64)],
+)
+def test_code_draws_beyond_int64_exit_2_before_any_folder(tmp_path, capsys, experiment, budget, b, power):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"system": {"b": b, "gamma": 0.4, "phi": [[1, 1.0, 0.0]]}}))
+    outdir = tmp_path / "out"
+    argv = [experiment, "--config", str(config), "--outdir", str(outdir), "--budget", f"{budget}={power}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{budget}={power}" in err and str(b**power) in err and "2^63" in err
+    assert f"allowed at b={b} is {power - 1}" in err
+    assert not outdir.exists()
 
 
 def test_experiment_subcommand_honours_config_seed_and_outdir(tmp_path, monkeypatch):

@@ -34,7 +34,8 @@ MAX_DEPTH = {2: 12, 3: 7}
 
 
 def oracle_cells(p: SystemParams, x: float, level: int, depth: int, cap: int):
-    vals = np.concatenate(list(iter_series_all_words(p, x, depth, chunk_cap=cap)))
+    with mock.patch.object(series, "DEFAULT_CHUNK_CAP", cap):
+        vals = np.concatenate(list(iter_series_all_words(p, x, depth)))
     return np.unique(bin_index(vals, p.b, level), return_counts=True)
 
 
@@ -51,8 +52,9 @@ def old_exact(p: SystemParams, x: float, level: int, depth: int, cap: int) -> Di
     """The exact builder that enumerated all words into the accumulator."""
     total = p.b**depth
     hist = _Hist(total)
-    for block in iter_series_all_words(p, x, depth, chunk_cap=cap):
-        hist.add(bin_index(block, p.b, level), 1.0 / total)
+    with mock.patch.object(series, "DEFAULT_CHUNK_CAP", cap):
+        for block in iter_series_all_words(p, x, depth):
+            hist.add(bin_index(block, p.b, level), 1.0 / total)
     return DiscreteMeasure(p.b, level, hist.idx, hist.w)
 
 

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from solenoidlab import series
 from solenoidlab.periodic import PeriodicFn, cohomological_phi
 from solenoidlab.series import (
     eval_S,
@@ -160,13 +162,15 @@ def test_bulk_kernels_match_scalar_evaluation():
 def test_chunked_enumeration_matches_full():
     p = params()
     full = series_over_prefixes(p, 0.45, 10)
-    chunks = np.concatenate(list(iter_series_all_words(p, 0.45, 10, chunk_cap=64)))
+    with mock.patch.object(series, "DEFAULT_CHUNK_CAP", 64):
+        chunks = np.concatenate(list(iter_series_all_words(p, 0.45, 10)))
     assert full.tobytes() == chunks.tobytes()
 
 
 def test_enumeration_chunks_fill_the_cap_at_exact_powers():
     p = params(b=3, gamma=0.5)
-    chunks = list(iter_series_all_words(p, 0.45, 7, chunk_cap=3**5))
+    with mock.patch.object(series, "DEFAULT_CHUNK_CAP", 3**5):
+        chunks = list(iter_series_all_words(p, 0.45, 7))
     assert [len(c) for c in chunks] == [243] * 9
     full = series_over_prefixes(p, 0.45, 7)
     assert np.concatenate(chunks).tobytes() == full.tobytes()

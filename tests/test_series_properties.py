@@ -22,6 +22,7 @@ on purpose: constant digit rows that hold the word points near 0, 1/2 or 1.
 """
 
 import copy
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solenoidlab import series
 from solenoidlab.periodic import PeriodicFn, sup_norm
 from solenoidlab.series import (
     _TAIL_BLOCK,
@@ -103,6 +105,12 @@ def test_prefixes_with_suffix_match_oracle(data):
     for code, g in enumerate(got):
         word = Word.from_code(code, n, p.b).concat(suffix)
         assert abs(g - oracle(p, x, word)) <= tol(p, 0)
+    # several base points in one call: one row each, bit for bit the single-point tile
+    xs = data.draw(st.lists(POINTS, min_size=1, max_size=3))
+    rows = series_over_prefixes(p, np.array(xs), n, suffix=suffix.digits)
+    assert rows.shape == (len(xs), p.b**n)
+    for point, row in zip(xs, rows):
+        assert row.tobytes() == series_over_prefixes(p, point, n, suffix=suffix.digits).tobytes()
 
 
 @SETTINGS
@@ -122,14 +130,16 @@ def test_chunked_enumeration_matches_oracle(data):
     p, x = data.draw(systems()), data.draw(POINTS)
     depth = data.draw(st.integers(1, 6))
     cap = data.draw(st.integers(p.b ** (depth // 2), p.b**depth))
-    chunks = list(iter_series_all_words(p, x, depth, chunk_cap=cap))
+    full = series_over_prefixes(p, x, depth)  # outside the patch: check_tile reads the cap
+    with mock.patch.object(series, "DEFAULT_CHUNK_CAP", cap):
+        chunks = list(iter_series_all_words(p, x, depth))
     size = len(chunks[0])
     assert all(len(c) == size for c in chunks)
     assert size * len(chunks) == p.b**depth
     # each chunk is the largest power of b within the cap
     assert size <= cap and (len(chunks) == 1 or size * p.b > cap)
     vals = np.concatenate(chunks)
-    assert vals.tobytes() == series_over_prefixes(p, x, depth).tobytes()
+    assert vals.tobytes() == full.tobytes()
     for code in data.draw(st.lists(st.integers(0, p.b**depth - 1), min_size=1, max_size=6)):
         word = Word.from_code(code, depth, p.b)
         assert abs(vals[code] - oracle(p, x, word)) <= tol(p, 0)
