@@ -3,14 +3,23 @@
 Box counting uses the same b-adic lattice as the entropy engine: at level l
 the plane is cut into squares of side b^-l anchored at the origin, and the
 estimate is the least-squares slope of log_b(occupied squares) against the
-level.  Point clouds are streamed in chunks: each chunk's finest-level boxes
-are packed into int64 keys (ix << 32) ^ (iy + 2^31), sorted and deduplicated,
-and the sorted run is merged into a sorted table of occupied keys.  Coarser
-levels divide the indices and deduplicate again, so memory scales with the
-number of occupied boxes, never with the extent of the lattice.  The packing
-is exact only while both indices lie in [-2^31, 2^31).  The level cap
-b^lmax <= 2^30 keeps coordinates in [-2, 2) inside that range; a chunk whose
-indices fall outside it raises instead of colliding silently.
+level.  Point clouds are streamed in chunks.  Each chunk is binned once at
+the finest level lmax with ``words.bin_index`` and marked in a bool table of
+(row, column) boxes by one flat scatter.  The table grows with the data, and
+its rows and columns start and end on multiples of f = b^(lmax - lmin), so
+every coarser level is an OR over f' x f' blocks of the finer table.  Memory
+scales with the extent of the cloud at the finest level, which for an
+attractor is bounded by [0, 1) x [-M, M] whatever the number of points.
+
+A sparse cloud at a deep level would need a table past ``BOX_TABLE_CAP``
+cells.  From the chunk that would pass it on, boxes are kept as sorted
+packed int64 keys (ix << 32) ^ (iy + 2^31) instead: the table's boxes are
+converted once, each chunk's keys are merged in, and coarser levels divide
+the indices and deduplicate again.  Both paths count the distinct
+(floor(x b^l), floor(y b^l)) pairs of the same indices, so their counts are
+equal.  Every chunk is checked for indices in [-2^31, 2^31), where the
+packing is exact, on either path; the level cap b^lmax <= 2^30 keeps
+coordinates in [-2, 2) inside that range.
 
 Graphs of continuous functions get the exact column fill: within one column
 the graph meets every box between the column minimum and maximum, so
@@ -22,15 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
 from .dynamics import attractor_points
 from .entropy import fit_line
-from .measures import bin_index, sorted_unique
+from .measures import sorted_unique
 from .periodic import PeriodicFn, eval as phi_eval, sup_norm
-from .words import SystemParams, max_level
+from .words import SystemParams, bin_index, max_level
 
 
 def log_ratio(b: int, gamma: float) -> float:
@@ -89,7 +99,7 @@ def render_attractor(
         ix = np.floor(xb * resolution).astype(np.int64)
         iy = np.floor((yb + M) / (2.0 * M) * resolution).astype(np.int64)
         np.clip(iy, 0, resolution - 1, out=iy)
-        np.add.at(counts, (ix, iy), 1)
+        counts += np.bincount(ix * resolution + iy, minlength=resolution**2).reshape(resolution, resolution)
     return RasterGrid(resolution, resolution, -M, M, counts)
 
 
@@ -113,27 +123,65 @@ def _fit(levels, counts, b) -> BoxCountResult:
     return BoxCountResult(tuple(int(v) for v in levels), tuple(int(v) for v in counts), fit_line(levels, ys))
 
 
+#: Most cells the finest-level occupancy table may hold; a stream whose boxes
+#: need a wider table is counted by sorted packed keys instead.
+BOX_TABLE_CAP = 2**24
+
 _HALF = 1 << 31
+
+
+def _span(ix: np.ndarray, iy: np.ndarray, level: int) -> tuple[int, int, int, int]:
+    """(x0, x1, y0, y1), the index bounds of a nonempty chunk of boxes; raises
+    unless both lie in [-2^31, 2^31), where packed keys are exact."""
+    x0, x1, y0, y1 = int(ix.min()), int(ix.max()), int(iy.min()), int(iy.max())
+    if min(x0, y0) < -_HALF or max(x1, y1) >= _HALF:
+        raise ValueError(
+            f"box indices at level {level} span x in [{x0}, {x1}], y in [{y0}, {y1}]; "
+            f"packed box keys need both in [-2^31, 2^31)"
+        )
+    return x0, x1, y0, y1
 
 
 def _pack(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     return (ix << 32) ^ (iy + _HALF)
 
 
-def _occupied_keys(xb: np.ndarray, yb: np.ndarray, level: int, b: int) -> np.ndarray:
-    """Sorted distinct packed keys of the level-``level`` boxes hit by a chunk."""
-    ix = bin_index(xb, b, level)
-    iy = bin_index(yb, b, level)
-    if len(ix) == 0:
-        return ix
-    lo, hi = min(ix.min(), iy.min()), max(ix.max(), iy.max())
-    if lo < -_HALF or hi >= _HALF:
-        raise ValueError(
-            f"box indices at level {level} span x in [{ix.min()}, {ix.max()}], "
-            f"y in [{iy.min()}, {iy.max()}]; packed box keys need both in "
-            f"[-2^31, 2^31)"
-        )
+def _occupied_keys(ix: np.ndarray, iy: np.ndarray, level: int) -> np.ndarray:
+    """Sorted distinct packed keys of a nonempty chunk of level-``level`` boxes."""
+    _span(ix, iy, level)
     return sorted_unique(_pack(ix, iy))
+
+
+def _cover(lo: int, hi: int, old_lo: int, old_hi: int, align: int, pad: int) -> tuple[int, int]:
+    """The smallest [lo', hi') on multiples of ``align`` that holds [lo, hi),
+    [old_lo, old_hi) and ``pad`` more on each side where [lo, hi) sticks out."""
+    lo, hi = min(lo, old_lo) - pad * (lo < old_lo), max(hi, old_hi) + pad * (hi > old_hi)
+    return lo // align * align, -(-hi // align) * align
+
+
+def _widen(occ, r0: int, c0: int, span, align: int):
+    """The occupancy table ``occ`` (row r0, column c0 at its corner) widened to
+    hold the boxes of ``span``, as (table, r0, c0); None if that passes
+    ``BOX_TABLE_CAP`` cells.
+
+    Rows and columns start and end on multiples of ``align``, so that every
+    coarser level is a block reduction.  As in ``measures._Hist``, a side that
+    grows gets a margin of a sixteenth of the table, while the cap allows it.
+    """
+    x0, x1, y0, y1 = span
+    nr, nc = occ.shape
+    if not nr:
+        r0, c0 = y0, x0
+    elif r0 <= y0 and y1 < r0 + nr and c0 <= x0 and x1 < c0 + nc:
+        return occ, r0, c0
+    for pr, pc in ((nr // 16, nc // 16), (0, 0)):
+        rl, rh = _cover(y0, y1 + 1, r0, r0 + nr, align, pr)
+        cl, ch = _cover(x0, x1 + 1, c0, c0 + nc, align, pc)
+        if (rh - rl) * (ch - cl) <= BOX_TABLE_CAP:
+            grown = np.zeros((rh - rl, ch - cl), dtype=bool)
+            grown[r0 - rl:r0 - rl + nr, c0 - cl:c0 - cl + nc] = occ
+            return grown, rl, cl
+    return None
 
 
 def box_count_dimension(
@@ -154,21 +202,40 @@ def box_count_dimension(
     if lmax > max_level(b, 2**30):
         raise ValueError(f"finest level {lmax} too deep for packed box keys: b^{lmax} = {b**lmax} is above "
                          f"{2**30}; the deepest level allowed at b={b} is {max_level(b, 2**30)}")
-    keys = np.empty(0, dtype=np.int64)
+    align = b ** (lmax - levels[0])
+    occ, r0, c0 = np.zeros((0, 0), dtype=bool), 0, 0  # occ[i, j]: finest box (c0 + j, r0 + i)
+    keys = None  # sorted packed keys, once the table would pass the cap
     for xb, yb in points:
-        k = _occupied_keys(np.asarray(xb, dtype=float), np.asarray(yb, dtype=float), lmax, b)
-        keys = sorted_unique(np.concatenate([keys, k]), kind="stable")
-    if len(keys) == 0:
+        ix, iy = bin_index(xb, b, lmax), bin_index(yb, b, lmax)
+        if len(ix) == 0:
+            continue
+        span = _span(ix, iy, lmax)
+        if keys is None:
+            grown = _widen(occ, r0, c0, span, align)
+            if grown is not None:
+                occ, r0, c0 = grown
+                occ.reshape(-1)[(iy - r0) * occ.shape[1] + (ix - c0)] = True
+                continue
+            rows, cols = np.nonzero(occ)
+            ix, iy = np.concatenate([cols + c0, ix]), np.concatenate([rows + r0, iy])
+            keys = np.empty(0, dtype=np.int64)
+        keys = sorted_unique(np.concatenate([keys, _occupied_keys(ix, iy, lmax)]), kind="stable")
+    if keys is None and not occ.size:
         raise ValueError("no points supplied")
     counts = []
     at = lmax
     for lev in reversed(levels):
         if lev < at:
             f = b ** (at - lev)
-            ix = keys >> 32
-            iy = (keys & 0xFFFFFFFF) - _HALF
-            keys, at = sorted_unique(_pack(ix // f, iy // f)), lev
-        counts.append(len(keys))
+            if keys is None:  # OR each f x f block of boxes into one
+                occ = reduce(np.logical_or, [occ[k::f] for k in range(f)])
+                occ = reduce(np.logical_or, [occ[:, k::f] for k in range(f)])
+            else:
+                ix = keys >> 32
+                iy = (keys & 0xFFFFFFFF) - _HALF
+                keys = sorted_unique(_pack(ix // f, iy // f))
+            at = lev
+        counts.append(int(np.count_nonzero(occ)) if keys is None else len(keys))
     counts.reverse()
     if counts[0] < 2:
         raise ValueError("points span fewer than 2 cells at the coarsest level")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from solenoidlab.dynamics import attractor_points
 from solenoidlab.fractal import (
     WEIERSTRASS_TOL,
     attractor_box_count,
@@ -132,6 +133,18 @@ def test_pgm_export():
     data = grid.to_pgm()
     assert data.startswith(b"P5\n32 32\n255\n")
     assert len(data) == len(b"P5\n32 32\n255\n") + 32 * 32
+
+
+def test_render_counts_equal_pixel_by_pixel_accumulation():
+    p = SystemParams(2, 0.4, COS)
+    res, M = 48, p.fiber_bound
+    want = np.zeros((res, res), dtype=np.int64)
+    for xb, yb in attractor_points(p, 200000, seed=6):
+        ix = np.floor(xb * res).astype(np.int64)
+        iy = np.clip(np.floor((yb + M) / (2.0 * M) * res).astype(np.int64), 0, res - 1)
+        np.add.at(want, (ix, iy), 1)
+    got = render_attractor(p, res, 200000, seed=6).counts
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_attractor_box_count_runs():
