@@ -12,6 +12,12 @@ RESEED_SCALE ~ 1e-7, far below any histogram cell used here.  The cadence
 (24 steps at scale 2^-26) keeps the float mantissa covered at every step for
 b = 2; for b >= 3 rounding noise already provides mixing and the injection
 merely makes it seeded.
+
+Reducing mod 1 is t -= floor(t), in place.  Every t reduced here is finite
+and >= 0, and for such t both t - floor(t) and the float remainder t % 1.0
+(an fmod) are exact, so they are the same double.  Each yielded block is a
+pair of fresh arrays that the caller owns: the sampler keeps no reference to
+them.
 """
 
 from __future__ import annotations
@@ -52,26 +58,24 @@ def attractor_points(
     def advance():
         nonlocal x, y, step
         if step % RESEED_EVERY == 0 and step > 0:
-            x = (x + rng.random(_CHAINS) * RESEED_SCALE) % 1.0
+            x += rng.random(_CHAINS) * RESEED_SCALE
+            x -= np.floor(x)
         y = gam * y + phi_eval(params.phi, x)
-        x = (b * x) % 1.0
+        x *= b
+        x -= np.floor(x)
         step += 1
 
     for _ in range(_BURN_IN):
         advance()
 
     produced = 0
-    xs = np.empty((_BLOCK_STEPS, _CHAINS))
-    ys = np.empty((_BLOCK_STEPS, _CHAINS))
     while produced < n_points:
-        for i in range(_BLOCK_STEPS):
+        keep = min(n_points - produced, _CHAINS * _BLOCK_STEPS)
+        xs = np.empty((-(-keep // _CHAINS), _CHAINS))  # only the steps the block keeps
+        ys = np.empty_like(xs)
+        for i in range(len(xs)):
             xs[i] = x
             ys[i] = y
             advance()
-        xb = xs.reshape(-1)
-        yb = ys.reshape(-1)
-        if produced + xb.size > n_points:
-            keep = n_points - produced
-            xb, yb = xb[:keep], yb[:keep]
-        produced += xb.size
-        yield xb.copy(), yb.copy()
+        produced += keep
+        yield xs.reshape(-1)[:keep], ys.reshape(-1)[:keep]

@@ -123,6 +123,18 @@ def _fit(levels, counts, b) -> BoxCountResult:
     return BoxCountResult(tuple(int(v) for v in levels), tuple(int(v) for v in counts), fit_line(levels, ys))
 
 
+def _levels(levels) -> list[int]:
+    """The box-count levels in ascending order; raises unless there are at
+    least 3 and none repeats, since a repeated level would count twice in the fit."""
+    levels = sorted(int(v) for v in levels)
+    repeated = sorted({v for v, w in zip(levels, levels[1:]) if v == w})
+    if repeated:
+        raise ValueError(f"box-count levels must be distinct; repeated: {repeated}")
+    if len(levels) < 3:
+        raise ValueError("need at least 3 levels")
+    return levels
+
+
 #: Most cells the finest-level occupancy table may hold; a stream whose boxes
 #: need a wider table is counted by sorted packed keys instead.
 BOX_TABLE_CAP = 2**24
@@ -192,12 +204,10 @@ def box_count_dimension(
     """Box-counting estimate for a planar point set given as an iterable of
     (x_block, y_block) chunks.
 
-    Requires >= 3 levels and a spread of at least two cells at the coarsest
-    level.
+    Requires >= 3 distinct levels and a spread of at least two cells at the
+    coarsest level.
     """
-    levels = sorted(int(v) for v in levels)
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels")
+    levels = _levels(levels)
     lmax = levels[-1]
     if lmax > max_level(b, 2**30):
         raise ValueError(f"finest level {lmax} too deep for packed box keys: b^{lmax} = {b**lmax} is above "
@@ -248,9 +258,7 @@ def box_count_graph(xs: np.ndarray, ys: np.ndarray, levels, b: int = 2) -> BoxCo
     Within a column the graph meets every box between the column min and
     max, so counts are sums of per-column index ranges.
     """
-    levels = sorted(int(v) for v in levels)
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels")
+    levels = _levels(levels)
     lmax = levels[-1]
     ncol = b**lmax
     col = np.clip(bin_index(xs, b, lmax), 0, ncol - 1)
@@ -324,7 +332,8 @@ def weierstrass_graph(psi: PeriodicFn, lam: float, b: int, resolution: int) -> W
     coef = 1.0
     for _ in range(terms):
         ys += coef * phi_eval(psi, arg)
-        arg = (b * arg) % 1.0
+        arg *= b
+        arg -= np.floor(arg)
         coef *= lam
     dim = 2.0 + math.log(lam) / math.log(b)
     return WeierstrassGraph(xs, ys, dim, terms)

@@ -15,6 +15,15 @@ a_k and one ``sin`` for each nonzero b_k, and the k = 0 term is added as a
 scalar.  The cosine terms are summed in ascending k, then the sine terms,
 then the two sums, so a single-harmonic f is one transcendental times its
 coefficient, rounded once.
+
+Each term is built in one array that ``eval_deriv`` owns: the angle
+2 pi (frac k) is scaled in place (frac k is skipped at k = 1, where it is
+exact), the cos or sin overwrites it unless the sine term still needs it,
+the coefficient multiplies in place, and the sums accumulate in place.  The
+products and the order of the sums are those written above, so the result
+is rounded exactly as the plain expression would be.  The last harmonic
+reuses the array of reduced arguments, so a one-harmonic f on an array
+allocates only that array and the floor.
 """
 
 from __future__ import annotations
@@ -138,31 +147,57 @@ def eval_deriv(f: PeriodicFn, x, order: int):
     if order < 0 or order > MAX_DERIV_ORDER:
         raise ValueError(f"derivative order {order} outside [0, {MAX_DERIV_ORDER}]")
     xa = np.asarray(x, dtype=float)
-    frac = xa - np.floor(xa)
-    a, b = _deriv_coeffs(f, order)
-    cos_sum = a[0] if a[0] != 0.0 else None  # None: no term yet, an exact 0
-    sin_sum = None
-    for k in range(1, len(a)):
-        if a[k] == 0.0 and b[k] == 0.0:
-            continue
-        ang = TWO_PI * (frac * k)
-        if a[k] != 0.0:
-            cos_sum = _plus(cos_sum, a[k] * np.cos(ang))
-        if b[k] != 0.0:
-            sin_sum = _plus(sin_sum, b[k] * np.sin(ang))
+    frac = xa - np.floor(xa)  # a fresh array, or a numpy scalar for 0-d x
+    a0, terms = _harmonics(f, order)
+    cos_sum, sin_sum = a0, None
+    for k, ak, bk in terms:
+        ang = frac if k == terms[-1][0] else frac.copy()  # the last harmonic takes frac's buffer
+        if k > 1:
+            ang *= k
+        ang *= TWO_PI
+        if ak:
+            cos_sum = _plus(cos_sum, _scaled(np.cos, ang, ak, keep=bool(bk)))
+        if bk:
+            sin_sum = _plus(sin_sum, _scaled(np.sin, ang, bk, keep=False))
     out = _plus(cos_sum, sin_sum)
     if out is None:
         out = 0.0
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
-    return np.full(frac.shape, out) if np.ndim(out) == 0 else out  # no harmonic: a constant
+    return out if isinstance(out, np.ndarray) else np.full(frac.shape, out)  # no harmonic: a constant
+
+
+@functools.lru_cache(maxsize=1024)
+def _harmonics(f: PeriodicFn, order: int):
+    """(a_0 or None, ((k, a_k, b_k), ...)) of the order-th derivative: the
+    constant, None if it is 0, and the harmonics k >= 1 with a nonzero
+    coefficient, in ascending k."""
+    a, b = _deriv_coeffs(f, order)
+    terms = tuple((k, a[k], b[k]) for k in range(1, len(a)) if a[k] != 0.0 or b[k] != 0.0)
+    return (a[0] if a[0] != 0.0 else None), terms
+
+
+def _scaled(trig, ang, coef, keep: bool):
+    """coef * trig(ang), in ang's array unless ``keep``."""
+    term = trig(ang) if keep or not isinstance(ang, np.ndarray) else trig(ang, out=ang)
+    term *= coef
+    return term
 
 
 def _plus(acc, term):
-    """acc + term, where None stands for an exact 0 that is never added."""
+    """acc + term, where None stands for an exact 0 that is never added.
+
+    Every array here is a buffer eval_deriv owns, so the sum is taken in place.
+    """
     if acc is None:
         return term
-    return acc if term is None else acc + term
+    if term is None:
+        return acc
+    if isinstance(acc, np.ndarray):
+        acc += term
+        return acc
+    term += acc  # acc is a scalar, a_0 or a sum at scalar x; addition commutes bit for bit
+    return term
 
 
 def sup_norm(f: PeriodicFn, order: int = 0) -> float:

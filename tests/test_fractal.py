@@ -61,6 +61,20 @@ def test_box_count_rejections():
         box_count_dimension([(pts[:, 0], pts[:, 1])], [29, 30, 31])
 
 
+def test_box_count_refuses_repeated_levels():
+    # a repeated level would enter the slope fit twice; [2, 2, 3] would also
+    # pass the three-level check with two distinct levels
+    pts = np.random.default_rng(5).random((1000, 2))
+    xs = (np.arange(2**10) + 0.5) / 2**10
+    for levels, named in (([2, 2, 3], r"\[2\]"), ([4, 2, 3, 4, 3], r"\[3, 4\]"), ((5, 5), r"\[5\]")):
+        with pytest.raises(ValueError, match=r"levels must be distinct; repeated: " + named):
+            box_count_dimension([(pts[:, 0], pts[:, 1])], levels)
+        with pytest.raises(ValueError, match=r"levels must be distinct; repeated: " + named):
+            box_count_graph(xs, np.sin(xs), levels)
+    assert box_count_dimension([(pts[:, 0], pts[:, 1])], [4, 2, 3]).levels == (2, 3, 4)
+    assert box_count_graph(xs, np.sin(xs), [4, 2, 3]).levels == (2, 3, 4)
+
+
 def test_box_count_rejects_indices_outside_packed_keys():
     # At level 30, iy = 2.5 * 2^30 >= 2^31 carries into the x bits of its
     # packed key and hits the second point's key: three far-apart points

@@ -21,6 +21,9 @@ stays behind.
 
 And no module but ``series`` compares anything with DEFAULT_CHUNK_CAP, so
 the tile-size rule is decided in one place.
+
+And no module takes a float remainder, so reducing mod 1 is t - floor(t)
+everywhere.
 """
 
 import ast
@@ -198,3 +201,29 @@ def test_only_series_compares_with_the_tile_cap():
             ):
                 offenders.append(f"{path.stem}:{node.lineno}")
     assert not offenders, f"comparisons with DEFAULT_CHUNK_CAP outside series: {offenders}"
+
+
+#: Calls that take a float remainder.
+REMAINDER_CALLS = {"remainder", "mod", "fmod"}
+
+
+def test_no_module_takes_a_float_remainder():
+    """Reducing mod 1 is t - floor(t) in every module: none writes ``%`` or
+    ``%=`` with a float literal on either side, or calls np.remainder,
+    np.mod, np.fmod or math.fmod."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                operands = [node.left, node.right]
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+                operands = [node.value]
+            elif isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) in REMAINDER_CALLS:
+                    offenders.append(f"{path.stem}:{node.lineno}")
+                continue
+            else:
+                continue
+            if any(isinstance(n, ast.Constant) and isinstance(n.value, float) for n in operands):
+                offenders.append(f"{path.stem}:{node.lineno}")
+    assert not offenders, f"float remainders outside the floor rule: {offenders}"

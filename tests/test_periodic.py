@@ -176,3 +176,79 @@ def test_single_harmonic_is_one_transcendental():
                     trig = np.cos if as_cos else np.sin
                     assert np.array_equal(eval_deriv(f, xs, order), coef[k] * trig(ang))
                     assert eval_deriv(f, float(xs[3]), order) == coef[k] * trig(ang)[3]
+
+
+# ------------------------------------------- oracle: the plain-expression sum
+
+def reference_eval_deriv(f: PeriodicFn, x, order: int):
+    """eval_deriv as first written: every product and sum a fresh array, in
+    the order the module docstring gives."""
+    xa = np.asarray(x, dtype=float)
+    frac = xa - np.floor(xa)
+    a, b = _deriv_coeffs(f, order)
+    cos_sum = a[0] if a[0] != 0.0 else None
+    sin_sum = None
+    for k in range(1, len(a)):
+        if a[k] == 0.0 and b[k] == 0.0:
+            continue
+        ang = TWO_PI * (frac * k)
+        if a[k] != 0.0:
+            cos_sum = a[k] * np.cos(ang) if cos_sum is None else cos_sum + a[k] * np.cos(ang)
+        if b[k] != 0.0:
+            sin_sum = b[k] * np.sin(ang) if sin_sum is None else sin_sum + b[k] * np.sin(ang)
+    out = cos_sum if sin_sum is None else sin_sum if cos_sum is None else cos_sum + sin_sum
+    if out is None:
+        out = 0.0
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return np.full(frac.shape, out) if np.ndim(out) == 0 else out
+
+
+#: One harmonic's (a_k, b_k): cosine only, sine only, both, or zero.
+HARMONIC = st.one_of(
+    st.tuples(COEFS, st.just(0.0)),
+    st.tuples(st.just(0.0), COEFS),
+    st.tuples(COEFS, COEFS),
+    st.just((0.0, 0.0)),
+)
+#: Points below 0, in [0, 1) and above 1.
+WIDE = st.floats(-3.0, 4.0, allow_subnormal=False)
+#: Seeded points in [-3, 4) that fill every array input after its drawn ones.
+SEEDED = np.random.default_rng(9).uniform(-3.0, 4.0, 48)
+
+
+@st.composite
+def shaped_points(draw):
+    """A Python float, a 0-d array, or a 1-d or 2-d array of 48 points: up
+    to 8 drawn points, then SEEDED."""
+    kind = draw(st.sampled_from(["float", "0-d", "1-d", "2-d"]))
+    if kind == "float":
+        return draw(WIDE)
+    if kind == "0-d":
+        return np.array(draw(WIDE))
+    pts = np.concatenate([draw(st.lists(WIDE, max_size=8)), SEEDED])[:48]
+    return pts if kind == "1-d" else pts.reshape(draw(st.sampled_from([2, 3, 4, 6])), -1)
+
+
+@st.composite
+def polys_to_degree_4(draw):
+    """A trig polynomial of degree 1 to 4 whose harmonics are each cosine
+    only, sine only, both or zero."""
+    harmonics = draw(st.lists(HARMONIC, min_size=draw(st.integers(1, 4)), max_size=4))
+    return PeriodicFn((draw(COEFS),) + tuple(a for a, _ in harmonics), (0.0,) + tuple(b for _, b in harmonics))
+
+
+@SETTINGS
+@given(polys_to_degree_4(), shaped_points())
+def test_eval_deriv_matches_the_plain_expression_bit_for_bit(f, x):
+    before = np.array(x, copy=True)
+    for order in range(MAX_DERIV_ORDER + 1):
+        got, want = eval_deriv(f, x, order), reference_eval_deriv(f, x, order)
+        if np.ndim(x) == 0:
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, x)
+        assert np.array(x).tobytes() == before.tobytes()  # the input is never written
