@@ -28,7 +28,6 @@ from .fractal import (
     weierstrass_graph,
 )
 from .measures import (
-    BAdicCell,
     DiscreteMeasure,
     SelfSimilarityReport,
     build_mx_empirical,

@@ -54,7 +54,7 @@ from .separation import (
     exp_separation_scan,
     transversality_search,
 )
-from .series import check_tile, tile_digits
+from .series import check_tile, check_walk, tile_digits
 from .words import SystemParams, check_draw, max_level, nhat
 
 #: Every budget the experiments read, with its default; an integer default
@@ -273,6 +273,7 @@ def _exp_porosity(cfg: RunConfig) -> tuple[dict, dict]:
     depth, eps = _budget(cfg, "porosity_depth"), _budget(cfg, "porosity_eps")
     alpha = min(1.0, log_ratio(p.b, p.gamma))
     check_draw(p.b, word_len, f"porosity: porosity_word_len={word_len}")
+    check_walk(p.b, depth, f"porosity: porosity_depth={depth}")
     rng = np.random.default_rng(cfg.seed)
     rows, hits = [], 0
     n_words = _budget(cfg, "porosity_words")

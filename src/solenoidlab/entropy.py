@@ -6,6 +6,7 @@ logarithms, so a measure filling one unit cell satisfies 0 <= H(level n) <= n
 with equality exactly at level-n uniformity.  The dimension estimator fits a
 least-squares slope of H(level) over a window of levels rather than a single
 ratio: at desk scale the limit's additive constants would otherwise dominate.
+``fit_levels`` is the one rule for a fit's window, here and in ``fractal``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .measures import DiscreteMeasure
 
 
 def _entropy_of_weights(w: np.ndarray, b: int) -> float:
-    w = w[w > 0]
     if b == 2:
         return float(-(w * np.log2(w)).sum())
     return float(-(w * (np.log(w) / math.log(b))).sum())
@@ -41,6 +41,17 @@ def fit_line(xs, ys) -> float:
     return float(np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
 
+def fit_levels(levels) -> list[int]:
+    """The levels of a slope fit, sorted; raises unless there are 3 or more, none repeated."""
+    levels = sorted(int(v) for v in levels)
+    repeated = sorted({v for v, w in zip(levels, levels[1:]) if v == w})
+    if repeated:
+        raise ValueError(f"fit levels must be distinct; repeated: {repeated}")
+    if len(levels) < 3:
+        raise ValueError("need at least 3 levels")
+    return levels
+
+
 @dataclass(frozen=True)
 class EntropyProfile:
     """Per-level entropies with the regression slope as dimension estimate."""
@@ -59,11 +70,7 @@ def dimension_estimate(mu: DiscreteMeasure, levels) -> EntropyProfile:
     ``mu`` must be resolved at least as deep as max(levels); coarser levels
     are reached by coarsening.
     """
-    levels = sorted(int(v) for v in levels)
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels")
-    if len(set(levels)) != len(levels):
-        raise ValueError("levels must be distinct")
+    levels = fit_levels(levels)
     ents = [entropy(mu, lev) for lev in levels]
     return EntropyProfile(tuple(levels), tuple(float(v) for v in ents), fit_line(levels, ents))
 

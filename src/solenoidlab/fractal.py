@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import attractor_points
-from .entropy import fit_line
+from .entropy import fit_levels, fit_line
 from .measures import sorted_unique
 from .periodic import PeriodicFn, eval as phi_eval, sup_norm
 from .words import SystemParams, bin_index, max_level
@@ -123,18 +123,6 @@ def _fit(levels, counts, b) -> BoxCountResult:
     return BoxCountResult(tuple(int(v) for v in levels), tuple(int(v) for v in counts), fit_line(levels, ys))
 
 
-def _levels(levels) -> list[int]:
-    """The box-count levels in ascending order; raises unless there are at
-    least 3 and none repeats, since a repeated level would count twice in the fit."""
-    levels = sorted(int(v) for v in levels)
-    repeated = sorted({v for v, w in zip(levels, levels[1:]) if v == w})
-    if repeated:
-        raise ValueError(f"box-count levels must be distinct; repeated: {repeated}")
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels")
-    return levels
-
-
 #: Most cells the finest-level occupancy table may hold; a stream whose boxes
 #: need a wider table is counted by sorted packed keys instead.
 BOX_TABLE_CAP = 2**24
@@ -207,7 +195,7 @@ def box_count_dimension(
     Requires >= 3 distinct levels and a spread of at least two cells at the
     coarsest level.
     """
-    levels = _levels(levels)
+    levels = fit_levels(levels)
     lmax = levels[-1]
     if lmax > max_level(b, 2**30):
         raise ValueError(f"finest level {lmax} too deep for packed box keys: b^{lmax} = {b**lmax} is above "
@@ -258,7 +246,7 @@ def box_count_graph(xs: np.ndarray, ys: np.ndarray, levels, b: int = 2) -> BoxCo
     Within a column the graph meets every box between the column min and
     max, so counts are sums of per-column index ranges.
     """
-    levels = _levels(levels)
+    levels = fit_levels(levels)
     lmax = levels[-1]
     ncol = b**lmax
     col = np.clip(bin_index(xs, b, lmax), 0, ncol - 1)

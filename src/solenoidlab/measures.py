@@ -15,8 +15,7 @@ zero-weight cells are kept.  While the index span is at most
 window of sums plus an occupancy mask, and a chunk costs O(chunk); a regrown
 window takes a margin of 1/16 of its old span on each side that grew.
 A wider span falls back to the sorted merge, which re-sorts with every chunk.
-``WORK_BUDGET`` caps the b^depth words an exact build stands for, whole
-subtrees of which it may count without evaluating them, and
+``series.WORK_BUDGET`` caps the b^depth words an exact build stands for and
 ``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once;
 the experiments' exact builds take their depth from ``EXACT_WORDS``.
 ``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
@@ -26,9 +25,9 @@ One chunk rule fixes every sampled stream: heads go in groups of
 max(1, _CHUNK // samples) and each group's samples are drawn _CHUNK at a
 time.  ``_CHUNK`` = 2^18 keeps a chunk's series values, codes and kernel
 scratch to a few MiB each; another ``_CHUNK`` would change the streams.
-``component`` conditions a measure on one cell; it is the oracle of
-``entropy._component_entropies``, which takes the entropies of all the
-components at one level in one pass.
+``component`` conditions a measure on one cell, given by its level and
+index; it is the oracle of ``entropy._component_entropies``, which takes the
+entropies of all the components at one level in one pass.
 
 Affine images deposit each source cell's mass at the image of the cell
 midpoint; the induced atom displacement is at most |a| b^(-level) / 2 and is
@@ -48,19 +47,9 @@ from .series import DEFAULT_CHUNK_CAP, _fiber_cells, eval_S, random_tail_series
 from .series import iter_series_all_words  # noqa: F401 - perfbench/layers.py wraps this name
 from .words import BIN_CAP, SystemParams, Word, bin_index, max_level
 
-WORK_BUDGET = 10**8
 #: The word count that fixes the depth of the experiments' exact builds.
 EXACT_WORDS = 2**23
 _CHUNK = 1 << 18
-
-
-@dataclass(frozen=True)
-class BAdicCell:
-    """The interval [index / b^level, (index + 1) / b^level)."""
-
-    b: int
-    level: int
-    index: int
 
 
 def sorted_unique(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
@@ -286,8 +275,6 @@ def build_mx_exact(
     _check_level(params.b, level)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if params.b**depth > WORK_BUDGET:
-        raise ValueError(f"b^depth = {params.b**depth} exceeds the work budget {WORK_BUDGET}")
     total = params.b**depth
     hist = _Hist(total)
     for cells, words in _fiber_cells(params, x, level, depth):
@@ -353,16 +340,13 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int) -> Discre
     return DiscreteMeasure(mu.b, out_level, hist.idx, hist.w)
 
 
-def component(mu: DiscreteMeasure, cell: BAdicCell) -> DiscreteMeasure:
-    """Condition mu on a cell and renormalize."""
-    if cell.b != mu.b:
-        raise ValueError("base mismatch")
-    if cell.level > mu.level:
+def component(mu: DiscreteMeasure, level: int, index: int) -> DiscreteMeasure:
+    """Condition mu on the cell [index / b^level, (index + 1) / b^level) and renormalize."""
+    if level > mu.level:
         raise ValueError("cell must be at most as fine as the measure")
-    f = mu.b ** (mu.level - cell.level)
-    sel = mu.indices // f == cell.index
-    mass = mu.weights[sel].sum()
-    if not mass > 0:
+    f = mu.b ** (mu.level - level)
+    sel = mu.indices // f == index
+    if not sel.any():  # weights are positive: an occupied cell carries mass
         raise ValueError("cell carries no mass")
     return DiscreteMeasure(mu.b, mu.level, mu.indices[sel], mu.weights[sel])
 

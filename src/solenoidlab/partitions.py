@@ -15,7 +15,8 @@ Word measures are uniform blocks: the uniform measure on Lambda^p . suffix,
 whose series values come from one prefix tile.  ``measure_B`` draws seeded
 digit tails behind a block; over an empty suffix it is the hybrid builder
 (exact heads over every word of one length, sampled tails), and
-``decomposition_check`` draws its whole double mixture as one such tile.
+``decomposition_check`` draws its whole double mixture as one such tile,
+with ``_TAIL_SAMPLES`` = 4 tails per word.
 
 Binning levels are clipped to the exact-index cap (b^level <= 2^45); at the
 scales scanned here the clipped cells are still several orders coarser than
@@ -47,6 +48,8 @@ from .series import (
     series_over_prefixes,
 )
 from .words import SystemParams, Word, max_level, nhat, word_point
+
+_TAIL_SAMPLES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,6 @@ def decomposition_check(
     i_level: int,
     level: int,
     seed: int = 0,
-    tail_samples: int = 4,
 ) -> DecompositionReport:
     """TV distance between the exactly enumerated fiber measure at the
     generic base point and its double mixture over suffix classes and
@@ -207,9 +209,9 @@ def decomposition_check(
     depth_lhs = min(params.truncation_depth, max_level(b, EXACT_WORDS) + 1)
     lhs = build_mx_exact(params, x0, level, depth_lhs)
     tile = WordMeasure(params, nh + ih, Word.empty(b))
-    rhs = measure_B(params, tile, x0, tail_samples, seed, level)
+    rhs = measure_B(params, tile, x0, _TAIL_SAMPLES, seed, level)
     residual = total_variation(lhs, rhs)
-    n_atoms = b ** (nh + ih) * tail_samples
+    n_atoms = b ** (nh + ih) * _TAIL_SAMPLES
     tail_terms = params.tail_bound(depth_lhs) + params.gamma ** (nh + ih) * params.tail_bound(
         params.truncation_depth
     )

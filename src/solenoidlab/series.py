@@ -59,7 +59,7 @@ with the words each stands for.  Where chunks or slices are cut changes
 memory, never a value.  One rule caps a tile: ``check_tile`` refuses b^L
 words above ``DEFAULT_CHUNK_CAP``, naming the caller, b^L, the cap and
 ``tile_digits(b)``, the longest L allowed, and no other module compares with
-the cap.  Of the enumerators only the first can be refused.
+the cap.  ``check_walk`` refuses a walk for b^depth > ``WORK_BUDGET`` words.
 
 ``eval_S_deriv`` stays a scalar loop over Python floats and shares only the
 phi kernel ``periodic.eval_deriv`` with the bulk path, so it serves as the
@@ -80,6 +80,8 @@ from .words import SystemParams, Word, bin_index, max_level
 
 #: Largest array a bulk enumeration materializes at once.
 DEFAULT_CHUNK_CAP = 1 << 22
+#: Most words, b^depth, the walk of ``_fiber_cells`` may stand for.
+WORK_BUDGET = 10**8
 
 
 def tile_digits(b: int) -> int:
@@ -92,6 +94,13 @@ def check_tile(b: int, length: int, what: str) -> None:
     if b**length > DEFAULT_CHUNK_CAP:
         raise ValueError(f"{what} needs b^{length} = {b**length} words, above the materialization cap "
                          f"{DEFAULT_CHUNK_CAP}; the longest length allowed at b={b} is {tile_digits(b)}")
+
+
+def check_walk(b: int, depth: int, what: str) -> None:
+    """Refuse a walk over b^depth words above WORK_BUDGET, naming ``what``."""
+    if b**depth > WORK_BUDGET:
+        raise ValueError(f"{what} walks b^{depth} = {b**depth} words, above the work budget {WORK_BUDGET}; "
+                         f"the deepest depth allowed at b={b} is {max_level(b, WORK_BUDGET)}")
 
 
 def eval_S(params: SystemParams, x: float, w: Word) -> float:
@@ -239,9 +248,9 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     132 -> 103 MiB, 0.50 -> 0.44 s at level 24, depth 22.  Memory rule: at
     the chunk seam t = tile_digits(b) the nodes go on in slices of
     max(1, b^(2t - depth)), so no level of a slice materializes more values
-    than one chunk of ``iter_series_all_words`` while depth <= 2t, as
-    ``measures.WORK_BUDGET`` ensures, and the slices yield no more often
-    than its chunks.  Codes are int32: b^depth <= WORK_BUDGET < 2^31.
+    than one chunk of ``iter_series_all_words`` while depth <= 2t, and the
+    slices yield no more often than its chunks.  Codes are int32.  Both hold
+    as ``check_walk`` keeps b^depth <= 10^8 < min(2^31, b^(2t+1)), b <= 2^22.
 
     The slack bounds the rounding between v and V.  Let u = eps / 2,
     F = fiber_bound, T_n the exact tail sup|phi| gamma^n / (1 - gamma), and
@@ -258,6 +267,7 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     4 (depth + 2 degree + 4) eps F is at least twice that.
     """
     b = params.b
+    check_walk(b, depth, f"the exact fiber walk: depth={depth}")
     t = min(depth, tile_digits(b))
     slack = 4.0 * (depth + 2 * params.phi.degree + 4) * np.finfo(float).eps * params.fiber_bound
     children = np.arange(b, dtype=np.int32)

@@ -43,9 +43,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def __iter__(self):
-        return iter(self.digits)
-
     @classmethod
     def empty(cls, b: int) -> "Word":
         return cls((), b)
@@ -79,8 +76,6 @@ class Word:
 
 def word_point(w: Word, x: float) -> float:
     """Map a word and base point to (x + code(w)) / b^len(w), in [0, 1]."""
-    if len(w) < 1:
-        return float(x)
     return (x + w.code()) / float(w.b ** len(w))
 
 
@@ -97,7 +92,6 @@ def nhat(n: int, b: int, gamma: float) -> int:
     if b < 2 or not 0.0 < gamma < 1.0:
         raise ValueError("need b >= 2 and gamma in (0, 1)")
     k = math.ceil(n * math.log(b) / math.log(1.0 / gamma))
-    k = max(k, 1)
     g = Fraction(gamma)
     target = Fraction(1, b**n)
     while g**k > target:

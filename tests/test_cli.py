@@ -450,3 +450,32 @@ def test_dichotomy_depth_over_the_cap_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "word_depth=12" in err and str(4**12) in err and "is 11" in err
     assert not (tmp_path / "d12").exists()
+
+
+def test_porosity_depth_over_the_walk_budget_exits_2_before_any_folder(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["porosity", "--outdir", str(outdir), "--budget", "porosity_depth=30"]) == 2
+    err = capsys.readouterr().err
+    assert "porosity_depth=30" in err and str(2**30) in err and "allowed at b=2 is 26" in err
+    assert not outdir.exists()
+
+
+def test_weierstrass_writes_its_summary_and_tables(tmp_path):
+    outdir = tmp_path / "out"
+    budgets = ["w_level_min=3", "w_level_max=5", "w_points_out=256"]
+    assert main(["weierstrass", "--outdir", str(outdir)] + [a for b in budgets for a in ("--budget", b)]) == 0
+    folder = outdir / "weierstrass"
+    summary = dict(line.split(": ", 1) for line in (folder / "summary.txt").read_text().splitlines())
+    assert {"lambda", "base", "predicted_dim", "box_slope", "terms", "resolution"} <= set(summary)
+    assert summary["base"] == "2" and summary["resolution"] == str(2**5 * 64)
+    boxes = (folder / "box_counts.csv").read_text().splitlines()
+    assert boxes[0] == "level,boxes" and [r.split(",")[0] for r in boxes[1:]] == ["3", "4", "5"]
+    points = (folder / "graph_points.csv").read_text().splitlines()
+    assert points[0] == "x,y" and len(points) == 1 + 256
+
+
+def test_budget_override_without_equals_exits_2_before_any_folder(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["dichotomy-check", "--outdir", str(outdir), "--budget", "word_depth"]) == 2
+    assert "name=value: 'word_depth'" in capsys.readouterr().err
+    assert not outdir.exists()

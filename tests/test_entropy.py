@@ -12,7 +12,6 @@ from solenoidlab.entropy import (
     porosity_fraction,
 )
 from solenoidlab.measures import (
-    BAdicCell,
     DiscreteMeasure,
     build_mx_exact,
     component,
@@ -82,7 +81,7 @@ def test_cond_entropy_component_average_oracle(data):
     parents = mu.coarsen(i)
     assert len(masses) == len(parents.indices)
     for k, (cell, mass) in enumerate(zip(parents.indices, parents.weights)):
-        comp = component(mu, BAdicCell(b, i, int(cell)))
+        comp = component(mu, i, int(cell))
         assert abs(masses[k] - mass) <= MASS_TOL
         assert abs(ents[k] - entropy(comp, i + m)) <= ENTROPY_TOL
     chain = entropy(mu, i + m) - entropy(mu, i)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solenoidlab.dynamics import attractor_points
+from solenoidlab.entropy import dimension_estimate
 from solenoidlab.fractal import (
     WEIERSTRASS_TOL,
     attractor_box_count,
@@ -13,6 +14,7 @@ from solenoidlab.fractal import (
     render_attractor,
     weierstrass_graph,
 )
+from solenoidlab.measures import DiscreteMeasure
 from solenoidlab.periodic import PeriodicFn, cohomological_phi, eval as fn_eval
 from solenoidlab.words import SystemParams
 
@@ -63,14 +65,19 @@ def test_box_count_rejections():
 
 def test_box_count_refuses_repeated_levels():
     # a repeated level would enter the slope fit twice; [2, 2, 3] would also
-    # pass the three-level check with two distinct levels
+    # pass the three-level check with two distinct levels.  The entropy slope
+    # shares the rule.
     pts = np.random.default_rng(5).random((1000, 2))
     xs = (np.arange(2**10) + 0.5) / 2**10
-    for levels, named in (([2, 2, 3], r"\[2\]"), ([4, 2, 3, 4, 3], r"\[3, 4\]"), ((5, 5), r"\[5\]")):
+    mu = DiscreteMeasure.uniform_unit(2, 6)
+    for levels, named in (([2, 2, 3], r"\[2\]"), ([4, 2, 3, 4, 3], r"\[3, 4\]"), ((5, 5), r"\[5\]"),
+                          ([5, 5, 6], r"\[5\]")):
         with pytest.raises(ValueError, match=r"levels must be distinct; repeated: " + named):
             box_count_dimension([(pts[:, 0], pts[:, 1])], levels)
         with pytest.raises(ValueError, match=r"levels must be distinct; repeated: " + named):
             box_count_graph(xs, np.sin(xs), levels)
+        with pytest.raises(ValueError, match=r"levels must be distinct; repeated: " + named):
+            dimension_estimate(mu, levels)
     assert box_count_dimension([(pts[:, 0], pts[:, 1])], [4, 2, 3]).levels == (2, 3, 4)
     assert box_count_graph(xs, np.sin(xs), [4, 2, 3]).levels == (2, 3, 4)
 

@@ -15,12 +15,20 @@ attribute (``obj.field``) by the package or by the benchmark, or is listed in
 TEST_ONLY as Class.field.  The check goes by name: a field named like an
 attribute read elsewhere (``n``, ``level``, ``b``) passes on that read.
 
+And every defaulted parameter of a public function of the package, or of
+a public method of a public class, is passed by some call in the package or
+in the benchmark (by keyword, or by position), or is listed in TEST_ONLY as
+function(parameter) or Class.method(parameter): a default no code changes is
+a constant, and a knob only tests turn is test-only API.  The check goes by
+name, as the others do.
+
 And every module-level private function, class and constant of the package
 is read somewhere in the package, so no leftover of a removed code path
 stays behind.
 
-And no module but ``series`` compares anything with DEFAULT_CHUNK_CAP, so
-the tile-size rule is decided in one place.
+And no module but ``series`` compares anything with DEFAULT_CHUNK_CAP or
+WORK_BUDGET, so the tile-size rule and the walk's work limit are each
+decided in one place.
 
 And no module takes a float remainder, so reducing mod 1 is t - floor(t)
 everywhere.
@@ -28,6 +36,7 @@ everywhere.
 
 import ast
 import inspect
+import math
 from pathlib import Path
 
 import solenoidlab
@@ -45,6 +54,10 @@ TEST_ONLY = {
     "PartitionKey.cell3": "scalar oracle of the bulk key columns of partitions.partition_keys",
     "PartitionKey.cell3_level": "scalar oracle of the series-column level of partitions.partition_keys",
     "PartitionKey.m": "scalar oracle of the word length partitions.partition_keys bins at",
+    "PeriodicFn.cosine(amplitude)": "mirrors PeriodicFn.sine(amplitude), so either builder takes any single term",
+    "PeriodicFn.cosine(harmonic)": "mirrors PeriodicFn.sine(harmonic), so either builder takes any single term",
+    "PeriodicFn.sine(amplitude)": "the 0.6 sin(4 pi x) system of tests/test_dynamics.py's bit-for-bit orbit check",
+    "PeriodicFn.sine(harmonic)": "the 0.6 sin(4 pi x) system of tests/test_dynamics.py's bit-for-bit orbit check",
     "RunConfig.to_json": "round-trip partner of RunConfig.from_json, which the CLI reads",
     "SelfSimilarityReport.certified_bound": "acceptance criterion 4",
     "SeparationScan.worst_words": "re-checked through min_gap: the scan's gap is that word's value-set gap",
@@ -142,7 +155,7 @@ def test_exported_api_is_used_or_listed_as_test_only():
     read = _read_names()
     unused = {name for name in public if name.rsplit(".", 1)[-1] not in read}
     unlisted = sorted(unused - set(TEST_ONLY))
-    listable = public | _public_members(ast.AnnAssign)
+    listable = public | _public_members(ast.AnnAssign) | set(_defaulted_parameters())
     stale = sorted(name for name in TEST_ONLY if name not in listable or name in public and name not in unused)
     assert not unlisted, f"public names only tests call, missing from TEST_ONLY: {unlisted}"
     assert not stale, f"TEST_ONLY entries that are not public or are read in code: {stale}"
@@ -158,6 +171,56 @@ def test_record_fields_are_read_or_listed_as_test_only():
     stale = sorted(name for name in TEST_ONLY if name in fields and name not in unused)
     assert not unlisted, f"record fields only tests read, missing from TEST_ONLY: {unlisted}"
     assert not stale, f"TEST_ONLY fields that code reads: {stale}"
+
+
+def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """function(parameter) or Class.method(parameter) of every defaulted
+    parameter of a public function or method of a public class in the
+    package, with (function name, parameter name, position among a call's
+    positional arguments, None if keyword-only)."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [("", f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        defs += [
+            (f"{c.name}.", f)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+            for f in c.body
+            if isinstance(f, ast.FunctionDef)
+        ]
+        for owner, f in defs:
+            if f.name.startswith("_"):
+                continue
+            positional = f.args.posonlyargs + f.args.args
+            if owner and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list):
+                positional = positional[1:]  # self or cls
+            first = len(positional) - len(f.args.defaults)
+            params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+            for name, pos in params:
+                out[f"{owner}{f.name}({name})"] = (f.name, name, pos)
+    return out
+
+
+def test_defaulted_parameters_are_passed_or_listed_as_test_only():
+    positions, keywords = {}, {}  # by called name: most positional arguments; keywords passed
+    for n in _code_nodes():
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in n.args)
+            positions[name] = max(positions.get(name, 0), math.inf if starred else len(n.args))
+            keywords.setdefault(name, set()).update(k.arg or "**" for k in n.keywords)
+    defaulted = _defaulted_parameters()
+    unpassed = {
+        key
+        for key, (fn, name, pos) in defaulted.items()
+        if not ({name, "**"} & keywords.get(fn, set()) or pos is not None and pos < positions.get(fn, 0))
+    }
+    unlisted = sorted(unpassed - set(TEST_ONLY))
+    stale = sorted(key for key in TEST_ONLY if key in defaulted and key not in unpassed)
+    assert not unlisted, f"defaulted parameters no code passes, missing from TEST_ONLY: {unlisted}"
+    assert not stale, f"TEST_ONLY parameters that code passes: {stale}"
 
 
 def _private_definitions(tree: ast.Module):
@@ -188,19 +251,32 @@ def test_private_definitions_are_read_in_the_package():
     assert not unread, f"private definitions nothing in the package reads: {unread}"
 
 
-def test_only_series_compares_with_the_tile_cap():
-    """``series.check_tile`` and ``series.tile_digits`` are the one tile-size
-    rule: no other module compares anything with DEFAULT_CHUNK_CAP."""
+def _comparisons_outside_series(name: str) -> list[str]:
+    """module:line of every comparison with ``name`` outside ``series``."""
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "series":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Compare) and any(
-                getattr(n, "id", getattr(n, "attr", None)) == "DEFAULT_CHUNK_CAP" for n in ast.walk(node)
+                getattr(n, "id", getattr(n, "attr", None)) == name for n in ast.walk(node)
             ):
                 offenders.append(f"{path.stem}:{node.lineno}")
+    return offenders
+
+
+def test_only_series_compares_with_the_tile_cap():
+    """``series.check_tile`` and ``series.tile_digits`` are the one tile-size
+    rule: no other module compares anything with DEFAULT_CHUNK_CAP."""
+    offenders = _comparisons_outside_series("DEFAULT_CHUNK_CAP")
     assert not offenders, f"comparisons with DEFAULT_CHUNK_CAP outside series: {offenders}"
+
+
+def test_only_series_compares_with_the_walk_budget():
+    """``series.check_walk`` is the one rule for the walk's work limit: no
+    other module compares anything with WORK_BUDGET."""
+    offenders = _comparisons_outside_series("WORK_BUDGET")
+    assert not offenders, f"comparisons with WORK_BUDGET outside series: {offenders}"
 
 
 #: Calls that take a float remainder.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from solenoidlab.measures import (
-    BAdicCell,
     DiscreteMeasure,
     build_mx_empirical,
     build_mx_exact,
@@ -183,19 +182,19 @@ def test_convolve_matches_sampling_oracle():
 def test_component_cases():
     rng = np.random.default_rng(7)
     mu = rand_measure(rng, level=6)
-    whole = component(mu, BAdicCell(2, 0, math.floor(mu.midpoints()[0])))
+    whole = component(mu, 0, math.floor(mu.midpoints()[0]))
     lo = math.floor(mu.midpoints().min())
     if np.all(np.floor(mu.midpoints()) == lo):
         assert np.array_equal(whole.indices, mu.indices)
     d = DiscreteMeasure.from_values(2, 6, [0.3])
-    cm = component(d, BAdicCell(2, 6, int(d.indices[0])))
+    cm = component(d, 6, int(d.indices[0]))
     assert np.array_equal(cm.indices, d.indices)
     uni = DiscreteMeasure.uniform_unit(2, 1)
-    cond = component(uni, BAdicCell(2, 1, 0))
+    cond = component(uni, 1, 0)
     assert cond.weights.sum() == pytest.approx(1.0)
     assert list(cond.indices) == [0]
     with pytest.raises(ValueError):
-        component(uni, BAdicCell(2, 1, 7))
+        component(uni, 1, 7)
 
 
 def test_component_mix_reconstructs_parent():
@@ -204,7 +203,7 @@ def test_component_mix_reconstructs_parent():
     coarse = mu.coarsen(2)
     parts = []
     for idx, w in zip(coarse.indices, coarse.weights):
-        parts.append((float(w), component(mu, BAdicCell(2, 2, int(idx)))))
+        parts.append((float(w), component(mu, 2, int(idx))))
     rebuilt = mix(parts)
     assert np.array_equal(rebuilt.indices, mu.indices)
     assert np.allclose(rebuilt.weights, mu.weights, rtol=1e-12, atol=1e-15)
@@ -255,3 +254,32 @@ def test_total_variation_self_and_disjoint():
     d1 = DiscreteMeasure.from_values(2, 6, [0.1])
     d2 = DiscreteMeasure.from_values(2, 6, [0.9])
     assert total_variation(d1, d2) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------- refusals
+
+_UNI = DiscreteMeasure.uniform_unit(2, 4)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteMeasure(2, 4, [1, 2], [1.0]), "aligned vectors"),
+        (lambda: DiscreteMeasure(2, 4, [], []), "nonempty support"),
+        (lambda: DiscreteMeasure(2, 4, [1, 2], [1.0, -0.5]), "nonnegative"),
+        (lambda: DiscreteMeasure(2, 4, [1, 2], [0.0, 0.0]), "total mass must be positive"),
+        (lambda: DiscreteMeasure.from_values(2, -1, [0.3]), "level must be nonnegative"),
+        (lambda: build_mx_empirical(params(), 0.3, 8, 0, seed=0), "samples must be >= 1"),
+        (lambda: build_mx_exact(params(), 0.3, 8, 0), "depth must be >= 1"),
+        (lambda: build_mx_exact(params(), 0.3, 8, 27),
+         r"depth=27 walks b\^27 = 134217728 words, above the work budget 100000000; .* b=2 is 26"),
+        (lambda: mix([(1.5, _UNI), (-0.5, _UNI)]), "mixture weights must be nonnegative"),
+        (lambda: mix([]), "need at least one component"),
+        (lambda: convolve(_UNI, DiscreteMeasure.uniform_unit(3, 2), 4), "operands must share the base"),
+        (lambda: component(_UNI, 5, 0), "cell must be at most as fine as the measure"),
+        (lambda: total_variation(_UNI, DiscreteMeasure.uniform_unit(2, 5)), "must share base and level"),
+    ],
+)
+def test_measures_refuse_bad_input_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -180,10 +180,12 @@ def test_decomposition_at_the_smallest_scale_stays_within_budget():
     assert rep.residual <= rep.error_budget
 
 
-def test_decomposition_residual_shrinks_with_budget():
+def test_decomposition_residual_shrinks_with_budget(monkeypatch):
     p = params()
-    small = decomposition_check(p, n=6, i_level=4, level=6, seed=2, tail_samples=1)
-    large = decomposition_check(p, n=6, i_level=4, level=6, seed=2, tail_samples=16)
+    monkeypatch.setattr(partitions, "_TAIL_SAMPLES", 1)
+    small = decomposition_check(p, n=6, i_level=4, level=6, seed=2)
+    monkeypatch.setattr(partitions, "_TAIL_SAMPLES", 16)
+    large = decomposition_check(p, n=6, i_level=4, level=6, seed=2)
     assert large.residual <= small.residual + 0.01
 
 

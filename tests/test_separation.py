@@ -140,3 +140,17 @@ def test_dichotomy_scan_depth_reaches_exact_power_budget():
     v = condition_H_scan(SystemParams(3, 0.3, COS), x_grid_size=16, word_depth=10)
     assert v.verdict == "H"
     assert [len(w) for w in v.witness_pair] == [10, 10]
+
+
+@pytest.mark.parametrize(
+    "phi, ell, n_list, min_gaps, epsilon_max",
+    [
+        (COS, 2, [1], (math.inf,), math.inf),  # nhat(1) = 1 <= ell: no value set, and no finite gap
+        (PeriodicFn.zero(), 1, [4], (0.0,), 0.0),  # every value 0: a zero gap admits no epsilon
+    ],
+)
+def test_scan_edge_rows(phi, ell, n_list, min_gaps, epsilon_max):
+    scan = exp_separation_scan(params(phi=phi), 0.3, ell, 0.5, n_list)
+    assert scan.min_gaps == min_gaps
+    assert scan.epsilon_max == epsilon_max
+    assert scan.passing == tuple(n for n, g in zip(n_list, min_gaps) if g == math.inf)

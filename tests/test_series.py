@@ -14,7 +14,7 @@ from solenoidlab.series import (
     series_fixed_word,
     series_over_prefixes,
 )
-from solenoidlab.words import SystemParams, Word, word_point
+from solenoidlab.words import SystemParams, Word, max_level, word_point
 
 from series_oracles import cocycle_check
 
@@ -174,3 +174,12 @@ def test_enumeration_chunks_fill_the_cap_at_exact_powers():
     assert [len(c) for c in chunks] == [243] * 9
     full = series_over_prefixes(p, 0.45, 7)
     assert np.concatenate(chunks).tobytes() == full.tobytes()
+
+
+def test_walk_budget_keeps_depth_within_two_tiles_and_int32():
+    # _fiber_cells slices at the tile seam t and codes in int32: both need
+    # depth <= 2t and b^depth < 2^31 for every depth check_walk lets through
+    for b in list(range(2, 10001)) + [2**22]:
+        depth = max_level(b, series.WORK_BUDGET)
+        series.check_walk(b, depth, "the deepest walk")
+        assert depth <= 2 * series.tile_digits(b) and b**depth < 2**31
