@@ -7,6 +7,13 @@ large and uniformly distinct fiber derivatives.  Certificates carry every
 input needed for replay, and interval lower bounds are always grid minima
 minus a Lipschitz modulus derived from certified sup-norms, so a reported
 bound is a true bound for the scanned quantity.
+
+The exponential-separation scan computes no value twice: one prefix tile
+grows through its scales, and each set of suffixes (and the transversality
+search's prefixes) is appended on its digit tree by
+``series._append_words``, which takes phi once per tree node.  Every value
+is bit for bit the one ``series_over_prefixes`` or the per-word append
+would give, so ``min_gap`` stays the scan's exact oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import numpy as np
 from .periodic import sup_norm
 from .series import (
     DEFAULT_CHUNK_CAP,
-    _digit_rows,
+    _append_words,
+    _tile_step,
+    _word_tree,
     check_tile,
     eval_S_deriv,  # noqa: F401 - perfbench/layers.py wraps this name
     series_fixed_word,
@@ -38,25 +47,22 @@ WORD_CAP = 4096
 # value-set gaps
 # ---------------------------------------------------------------------------
 
-def _min_gaps(params: SystemParams, x: float, prefix_len: int, suffix_rows) -> np.ndarray:
-    """Minimum gap of {S(x, j w) : j in Lambda^prefix_len} for each suffix w.
-
-    Digit rows of shape (r, 1) hold r suffixes and give r gaps; scalar rows
-    give one.  The prefix tile is built once for all of them.
-    """
-    vals = np.sort(series_over_prefixes(params, x, prefix_len, suffix=suffix_rows), axis=-1)
-    return np.diff(vals, axis=-1).min(axis=-1).reshape(-1)
+def _min_gaps(values: np.ndarray) -> np.ndarray:
+    """Minimum gap between the values of each row (last axis), sorted first,
+    in place, so the result does not depend on word order."""
+    values.sort(axis=-1)
+    return np.diff(values, axis=-1).min(axis=-1)
 
 
 def min_gap(params: SystemParams, x: float, w: Word, n: int) -> float:
     """Minimum pairwise distance of {S(x, j w) : j in Lambda^(n - |w|)}.
 
-    Exact finite-word evaluation; enumeration is sorted so the result does
-    not depend on word order.
+    Exact finite-word evaluation: one prefix tile with w appended digit by
+    digit, the oracle of ``exp_separation_scan``'s gaps.
     """
     if n <= len(w):
         raise ValueError("n must exceed the suffix length")
-    return float(_min_gaps(params, x, n - len(w), w.digits)[0])
+    return float(_min_gaps(series_over_prefixes(params, x, n - len(w), suffix=w.digits)))
 
 
 @dataclass(frozen=True)
@@ -94,28 +100,51 @@ def exp_separation_scan(
     Value sets are indexed by the matched scale nhat(n), so the threshold and
     the inspected set live at the same scale.  epsilon_max is the largest
     epsilon for which every scanned n would pass.  When b^ell exceeds
-    WORD_CAP, WORD_CAP suffixes are sampled under the seed.
+    WORD_CAP, WORD_CAP suffixes are sampled under the seed.  Every scale's
+    tile, b^(nhat - ell) words, must pass ``series.check_tile``; all are
+    checked before any work.
+
+    One prefix tile grows by ``series._tile_step`` through the scales in
+    ascending nhat, so at each prefix length p = nhat - ell it is
+    ``series_over_prefixes(params, x, p)`` bit for bit, and the suffixes are
+    appended to it on their digit tree (``series._append_words``), built
+    once per scan.  So every gap is ``min_gap``'s for its suffix, bit for
+    bit.  Memory rule: suffixes go in batches of max(1, DEFAULT_CHUNK_CAP //
+    b^p), so no array holds more than the cap's values; the batches' trees
+    are rebuilt only when the batch size changes.
     """
     n_list = sorted(int(v) for v in n_list)
     b = params.b
     check_draw(b, ell, f"exp_separation_scan: ell={ell}")
+    nhats = [nhat(n, b, params.gamma) for n in n_list]
+    for n, nh in zip(n_list, nhats):
+        check_tile(b, nh - ell, f"exp_separation_scan: scale n={n} (nhat={nh}, ell={ell})")
     sampled = b**ell > WORD_CAP
     rng = np.random.default_rng(seed)
     codes = np.sort(rng.integers(0, b**ell, WORD_CAP)) if sampled else np.arange(b**ell)
+    trees = {}  # batch size -> the digit trees of the suffix batches
+    values, prefixes, p = np.zeros(1), np.zeros(1, dtype=np.int32), 0  # the tile of the empty word
     rows = []
-    for n in n_list:
-        nh = nhat(n, b, params.gamma)
+    for n, nh in zip(n_list, nhats):
         if rows and rows[-1][1] == nh:  # nhat is monotone in n: reuse the row of this scale
             rows.append((n, *rows[-1][1:]))
             continue
         if nh <= ell:
             rows.append((n, nh, math.inf, epsilon**nh, ""))
             continue
-        batch = max(1, DEFAULT_CHUNK_CAP // b ** (nh - ell))  # suffixes per call, by value count
-        gaps = np.concatenate([
-            _min_gaps(params, x, nh - ell, [d[:, None] for d in _digit_rows(c, b, ell)])
-            for c in np.split(codes, range(batch, len(codes), batch))
-        ])
+        while p < nh - ell:
+            values, prefixes = _tile_step(params, x, p, values, prefixes, np.arange(b, dtype=np.int32))
+            p += 1
+        batch = min(len(codes), max(1, DEFAULT_CHUNK_CAP // b**p))  # suffixes per batch, by value count
+        if batch not in trees:
+            trees[batch] = [_word_tree(c, b, ell) for c in np.split(codes, range(batch, len(codes), batch))]
+        pts, coef = (x + prefixes) / float(b**p), math.prod((params.gamma,) * p)
+        gaps = []
+        for tree in trees[batch]:
+            suffixed = _append_words(params, pts, tree, 0, coef)
+            suffixed += values  # values + suffixed: addition commutes bit for bit
+            gaps.append(_min_gaps(suffixed))
+        gaps = np.concatenate(gaps)
         k = int(np.argmin(gaps))  # the first minimal suffix, as worst word
         worst = Word.from_code(int(codes[k]), ell, b).to_string()
         rows.append((n, nh, float(gaps[k]), epsilon**nh, worst))
@@ -270,11 +299,11 @@ def transversality_search(
         slack_pair = 2.0 * (gam / b) ** t * phi1 / (1.0 - gam / b)
         slack_single = slack_pair / 2.0
         lip = phi2 / (b**2 - gam)
-        rows = [d[:, None] for d in _digit_rows(np.arange(b**t), b, t)]  # every prefix, one row each
+        tree = _word_tree(np.arange(b**t), b, t)  # every prefix, one row each
         for a_code in range(b**t):
             zs = _grid_in_cell(a_code, t, b, points)
             delta_z = float(b) ** (-t) / points
-            derivs = series_fixed_word(params, np.tile(zs, (b**t, 1)), rows, order=1)
+            derivs = _append_words(params, zs, tree, 1, float(b) ** (-1))
             mins = [float(np.abs(d).min()) for d in derivs]
             for h1 in range(b**t):
                 a1 = mins[h1] - lip * delta_z / 2.0 - slack_single

@@ -21,9 +21,12 @@ adding c phi^(k)(tau) with c shrinking by gamma b^-k per digit.  It serves
 fixed words (``series_fixed_word``, the common suffix of
 ``series_over_prefixes``) and, as the replay oracle, the digits of explicit
 codes (``series_at_codes``); any other array of codes that needs digit
-rows takes them from ``_digit_rows``.  Suffix rows given as columns of
-shape (r, 1) make ``series_over_prefixes`` return one row of values per
-suffix, all appended to one prefix tile.
+rows takes them from ``_digit_rows``.  A set of words of one length, given
+by their codes, is appended by ``_append_words`` on its digit tree
+(``_word_tree``): a node at depth i stands for every code with the same
+first i digits, and phi is taken at each node once, not once per word and
+digit.  Each node repeats the append kernel's operations for one word, in
+its order, so every row is that word's ``_append_series`` value bit for bit.
 
 Seeded uniform tails (``random_tail_series``) are drawn as whole-word
 codes, one uniform integer in [0, b^G) per G digits, G = max_level(b, 2^53),
@@ -149,6 +152,51 @@ def _append_series(params: SystemParams, tau, digit_rows, order: int = 0, coef: 
     return out
 
 
+def _word_tree(codes, b: int, length: int):
+    """The digit tree of the words of one length with these codes, for
+    ``_append_words``: (levels, leaves).  Level i = 1..length lists its
+    nodes, the distinct codes mod b^i in ascending order, as (digits,
+    parents): each node's digit i and the index of its node at depth i - 1.
+    ``leaves`` gives each code's node at depth ``length``, or is None where
+    those nodes are the codes themselves (distinct codes, sorted)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    levels, up = [], np.zeros(1, dtype=np.int64)  # up: the nodes a depth up, the root first
+    leaves = np.zeros(len(codes), dtype=np.intp)
+    for i in range(length):
+        nodes, leaves = np.unique(codes % b ** (i + 1), return_inverse=True)
+        levels.append((nodes // b**i, np.searchsorted(up, nodes % b**i)))
+        up = nodes
+    same = len(up) == len(codes) and np.array_equal(up, codes)
+    return levels, (None if same else leaves)
+
+
+def _append_words(params: SystemParams, tau, tree, order: int, coef: float) -> np.ndarray:
+    """``_append_series(params, tau, rows, order, coef)`` for every word of
+    ``tree`` (a ``_word_tree``), one row per code: shape (codes,) + tau's.
+
+    Walks the tree from the root, tau and the running sum held per node:
+    a node takes its parent's, tau <- (tau + d) / b, term = phi^(order)(tau)
+    times the level's coefficient, out <- out + term from zeros, so each row
+    rounds as the per-word append does and phi is taken once per node.
+    """
+    b = params.b
+    step = params.gamma * float(b) ** (-order)
+    levels, leaves = tree
+    tau = np.asarray(tau, dtype=float)[None]
+    out = np.zeros(tau.shape)
+    axes = (1,) * (tau.ndim - 1)
+    for digits, parents in levels:
+        tau = tau[parents]
+        tau += digits.reshape((-1,) + axes)
+        tau /= b
+        term = eval_deriv(params.phi, tau, order)
+        term *= coef  # in place: no temporary for the product
+        term += out[parents]  # out + term: addition commutes bit for bit
+        out = term
+        coef *= step
+    return out if leaves is None else out[leaves]
+
+
 def series_fixed_word(params: SystemParams, xs: np.ndarray, digits, order: int = 0) -> np.ndarray:
     """S^(order)(x, word) for a fixed word over a vector of base points."""
     return _append_series(params, np.asarray(xs, dtype=float), digits, order)
@@ -158,7 +206,7 @@ def series_over_prefixes(params: SystemParams, x, prefix_len: int, suffix=()) ->
     """S(x, j . suffix) for every j in Lambda^prefix_len, code order along the
     last axis; x is one base point or an array of them, each its own tile.
 
-    Materializes b^prefix_len values per base point and suffix row.
+    Materializes b^prefix_len values per base point.
     """
     b = params.b
     check_tile(b, prefix_len, f"series_over_prefixes: prefix_len={prefix_len}")
@@ -167,7 +215,7 @@ def series_over_prefixes(params: SystemParams, x, prefix_len: int, suffix=()) ->
     for n in range(prefix_len):
         values, codes = _tile_step(params, x[..., None], n, values, codes, np.arange(b, dtype=np.int32))
     if len(suffix):
-        pts = (x + codes) / float(b**prefix_len) + np.zeros(np.shape(suffix[0]))  # rows of shape (r, 1): r rows
+        pts = (x + codes) / float(b**prefix_len)
         values = values + _append_series(params, pts, suffix, 0, math.prod((params.gamma,) * prefix_len))
     return values
 

@@ -8,6 +8,7 @@ Serialized form is the plain digit string ``"10210"`` read left to right.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,13 +80,15 @@ def word_point(w: Word, x: float) -> float:
     return (x + w.code()) / float(w.b ** len(w))
 
 
+@functools.lru_cache(maxsize=1024)
 def nhat(n: int, b: int, gamma: float) -> int:
     """The unique integer with gamma^nhat <= b^(-n) < gamma^(nhat-1).
 
     Computed as ceil(n log b / log(1/gamma)) and then verified with exact
     rational powers of the floats, nudging by one if the float crossing
     was misjudged.  Ties (gamma^nhat == b^(-n)) take the larger value, the
-    non-strict side of the inequality.
+    non-strict side of the inequality.  Memoized, as scans ask for the same
+    scales again and again; a refusal is not cached and raises every time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from solenoidlab import separation, series
 from solenoidlab.periodic import PeriodicFn, cohomological_phi, sup_norm
 from solenoidlab.separation import (
     GENERIC_BASE_POINT,
@@ -83,6 +84,48 @@ def test_scan_value_sets_live_at_matched_scale():
     w = Word(tuple(int(ch) for ch in scan.worst_words[0]), 2)
     assert scan.min_gaps[0] == pytest.approx(min_gap(p, 0.3, w, nh))
     assert scan.thresholds[0] == pytest.approx(0.25**nh)
+
+
+@pytest.mark.parametrize(
+    "b, gamma, ns, ell, word_cap",
+    [
+        (2, 0.4, range(6, 11), 3, separation.WORD_CAP),  # the full suffix set
+        (2, 0.4, range(6, 11), 4, 8),  # 8 suffixes sampled of 16
+        (3, 0.5, range(3, 6), 2, separation.WORD_CAP),
+        (3, 0.5, range(3, 6), 3, 8),
+    ],
+)
+def test_scan_rows_equal_the_min_gap_oracle(monkeypatch, b, gamma, ns, ell, word_cap):
+    p, x, seed = params(b, gamma), 0.3, 5
+    monkeypatch.setattr(separation, "WORD_CAP", word_cap)
+    scan = exp_separation_scan(p, x, ell, 0.25, ns, seed=seed)
+    sampled = b**ell > word_cap
+    codes = np.sort(np.random.default_rng(seed).integers(0, b**ell, word_cap)) if sampled else np.arange(b**ell)
+    assert scan.sampled_words == sampled
+    suffixes = [Word.from_code(int(c), ell, b) for c in codes]
+    for nh, gap, worst in zip(scan.nhats, scan.min_gaps, scan.worst_words):
+        gaps = [min_gap(p, x, w, nh) for w in suffixes]
+        assert gap == min(gaps)
+        assert worst == suffixes[gaps.index(gap)].to_string()  # the first minimal suffix
+    # a cap at which the largest tile fits and the suffixes go two at a time there
+    cap = 2 * b ** (max(scan.nhats) - ell)
+    monkeypatch.setattr(series, "DEFAULT_CHUNK_CAP", cap)
+    monkeypatch.setattr(separation, "DEFAULT_CHUNK_CAP", cap)
+    split = exp_separation_scan(p, x, ell, 0.25, ns, seed=seed)
+    assert split == scan
+    assert np.array(split.min_gaps).tobytes() == np.array(scan.min_gaps).tobytes()
+
+
+def test_scan_refuses_an_over_cap_scale_before_any_work(monkeypatch):
+    steps = []
+    tile_step = separation._tile_step
+    monkeypatch.setattr(separation, "_tile_step", lambda *args: steps.append(args) or tile_step(*args))
+    monkeypatch.setattr(series, "DEFAULT_CHUNK_CAP", 2**5)
+    # nhat(9) - 2 = 5 fits the cap; nhat(10) - 2 = 6 does not
+    with pytest.raises(ValueError, match=r"^exp_separation_scan: scale n=10 \(nhat=8, ell=2\) needs b\^6 = 64 "
+                       r"words, above the materialization cap 32; the longest length allowed at b=2 is 5$"):
+        exp_separation_scan(params(), 0.3, 2, 0.25, range(6, 12))
+    assert steps == []
 
 
 # ----------------------------------------------------------------- dichotomy

@@ -115,6 +115,24 @@ def test_prefixes_with_suffix_match_oracle(data):
 
 @SETTINGS
 @given(st.data())
+def test_word_set_kernel_is_the_per_word_append_bit_for_bit(data):
+    p, order = data.draw(systems()), data.draw(st.integers(0, 1))
+    length = data.draw(st.integers(0, max_level(p.b, MAX_POINTS)))
+    if data.draw(st.booleans()):
+        codes = np.arange(p.b**length)  # the full set
+    else:  # a sampled set: sorted, repeats allowed
+        codes = np.sort(data.draw(st.lists(st.integers(0, p.b**length - 1), min_size=1, max_size=12)))
+    xs = np.array(data.draw(st.lists(POINTS, min_size=1, max_size=4)))
+    coef = data.draw(st.floats(0.01, 1.0))
+    got = series._append_words(p, xs, series._word_tree(codes, p.b, length), order, coef)
+    rows = [d[:, None] for d in series._digit_rows(codes, p.b, length)]  # one (r, 1) column per digit
+    want = series._append_series(p, np.tile(xs, (len(codes), 1)), rows, order, coef)
+    assert got.shape == (len(codes), len(xs))
+    assert got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(st.data())
 def test_codes_match_oracle(data):
     p, x = data.draw(systems()), data.draw(POINTS)
     n = data.draw(st.integers(0, max_level(p.b, MAX_POINTS)))

@@ -46,6 +46,15 @@ def test_nhat_examples():
     assert nhat(1, 3, 0.9) == 11
 
 
+def test_nhat_refuses_bad_arguments_on_every_call():
+    # nhat is memoized: a refusal must not be cached as a value
+    for args in [(0, 2, 0.4), (3, 1, 0.4), (3, 2, 1.0)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                nhat(*args)
+    assert nhat(10, 2, 0.4) == nhat(10, 2, 0.4) == 8
+
+
 def test_nhat_defining_inequalities():
     rng = np.random.default_rng(1)
     for _ in range(40):
