@@ -20,7 +20,6 @@ from .fractal import (
     BoxCountResult,
     RasterGrid,
     WeierstrassGraph,
-    attractor_box_count,
     box_count_dimension,
     box_count_graph,
     predicted_dimension,

@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import attractor_points  # noqa: F401 - perfbench/layers.py wraps this name
+from .dynamics import attractor_points
 from .entropy import dimension_estimate, porosity_fraction
 from .fractal import (
-    attractor_box_count,
+    box_count_dimension,
     box_count_graph,
     log_ratio,
     predicted_dimension,
@@ -219,7 +219,7 @@ def _exp_dim_estimate(cfg: RunConfig) -> tuple[dict, dict]:
     mu = build_mx_empirical(p, GENERIC_BASE_POINT, lev_hi, samples, cfg.seed)
     prof = dimension_estimate(mu, range(lev_lo, lev_hi + 1))
     box_levels = range(_budget(cfg, "box_level_min"), _budget(cfg, "box_level_max") + 1)
-    box = attractor_box_count(p, _budget(cfg, "box_points"), box_levels, seed=cfg.seed)
+    box = box_count_dimension(attractor_points(p, _budget(cfg, "box_points"), seed=cfg.seed), box_levels, b=p.b)
     return {
         "fiber_entropy_slope": prof.slope,
         "fiber_slope_window": (prof.levels[0], prof.levels[-1]),

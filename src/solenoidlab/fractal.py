@@ -17,9 +17,10 @@ packed int64 keys (ix << 32) ^ (iy + 2^31) instead: the table's boxes are
 converted once, each chunk's keys are merged in, and coarser levels divide
 the indices and deduplicate again.  Both paths count the distinct
 (floor(x b^l), floor(y b^l)) pairs of the same indices, so their counts are
-equal.  Every chunk is checked for indices in [-2^31, 2^31), where the
-packing is exact, on either path; the level cap b^lmax <= 2^30 keeps
-coordinates in [-2, 2) inside that range.
+equal.  Each chunk is checked once, on arrival, for indices in
+[-2^31, 2^31), where the packing is exact; the level cap b^lmax <= 2^30
+keeps coordinates in [-2, 2) inside that range.  An attractor is counted
+as ``box_count_dimension(dynamics.attractor_points(...))``.
 
 Graphs of continuous functions get the exact column fill: within one column
 the graph meets every box between the column minimum and maximum, so
@@ -38,9 +39,8 @@ import numpy as np
 
 from .dynamics import attractor_points
 from .entropy import fit_levels, fit_line
-from .measures import sorted_unique
 from .periodic import PeriodicFn, eval as phi_eval, sup_norm
-from .words import SystemParams, bin_index, max_level
+from .words import SystemParams, bin_index, max_level, sorted_unique
 
 
 def log_ratio(b: int, gamma: float) -> float:
@@ -146,9 +146,8 @@ def _pack(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     return (ix << 32) ^ (iy + _HALF)
 
 
-def _occupied_keys(ix: np.ndarray, iy: np.ndarray, level: int) -> np.ndarray:
-    """Sorted distinct packed keys of a nonempty chunk of level-``level`` boxes."""
-    _span(ix, iy, level)
+def _occupied_keys(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """Sorted distinct packed keys of boxes whose indices ``_span`` checked."""
     return sorted_unique(_pack(ix, iy))
 
 
@@ -217,7 +216,7 @@ def box_count_dimension(
             rows, cols = np.nonzero(occ)
             ix, iy = np.concatenate([cols + c0, ix]), np.concatenate([rows + r0, iy])
             keys = np.empty(0, dtype=np.int64)
-        keys = sorted_unique(np.concatenate([keys, _occupied_keys(ix, iy, lmax)]), kind="stable")
+        keys = sorted_unique(np.concatenate([keys, _occupied_keys(ix, iy)]), kind="stable")
     if keys is None and not occ.size:
         raise ValueError("no points supplied")
     counts = []
@@ -265,15 +264,6 @@ def box_count_graph(xs: np.ndarray, ys: np.ndarray, levels, b: int = 2) -> BoxCo
         b2 = (bot.reshape(-1, f).min(axis=1)) // f
         counts.append(int((t2 - b2 + 1).sum()))
     return _fit(levels, counts, b)
-
-
-def attractor_box_count(
-    params: SystemParams, n_points: int, levels, seed: int = 0
-) -> BoxCountResult:
-    """Box-count the attractor from streamed orbit samples."""
-    return box_count_dimension(
-        attractor_points(params, n_points, seed=seed), levels, b=params.b
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ float64 (b^level <= 2^45).  ``_Hist`` is the one rule that accumulates
 are the sampled builder, ``mix``, ``convolve``, ``total_variation`` (mu's
 weights, then nu's negated) and the exact builder, which feeds it the word
 counts of ``series._fiber_cells`` (whole numbers, so their sums are exact)
-and divides by b^depth once.  ``np.add.at`` adds each cell's weights in
-stream order, so a table is independent of how its stream is chunked, and
-zero-weight cells are kept.  While the index span is at most
+and divides by b^depth once.  While the index span is at most
 2 * items + 1024 (items: the caller's declared total) the table is a dense
 window of sums plus an occupancy mask, and a chunk costs O(chunk); a regrown
 window takes a margin of 1/16 of its old span on each side that grew.
-A wider span falls back to the sorted merge, which re-sorts with every chunk.
+A wider span falls back to the sorted merge, which re-sorts with every chunk
+and sums each cell by one ``np.bincount``.  Both paths add each cell's
+weights in stream order, so a table is independent of how its stream is
+chunked, and zero-weight cells are kept.
 ``series.WORK_BUDGET`` caps the b^depth words an exact build stands for and
 ``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once;
 the experiments' exact builds take their depth from ``EXACT_WORDS``.
@@ -50,23 +51,6 @@ from .words import BIN_CAP, SystemParams, Word, bin_index, max_level
 #: The word count that fixes the depth of the experiments' exact builds.
 EXACT_WORDS = 2**23
 _CHUNK = 1 << 18
-
-
-def sorted_unique(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
-    """Distinct values of ``keys`` in ascending order, by sort and neighbour diff.
-
-    Used instead of ``np.unique``/``np.union1d``: without ``return_*``
-    arguments those run a hash table since numpy 2.3, about 60x slower than a
-    sort on 10^6 int64 keys.  Pass ``kind="stable"`` when ``keys`` is a
-    concatenation of sorted runs; timsort then merges them in linear time.
-    """
-    k = np.sort(keys, kind=kind)
-    if len(k) < 2:
-        return k
-    keep = np.empty(len(k), dtype=bool)
-    keep[0] = True
-    np.not_equal(k[1:], k[:-1], out=keep[1:])
-    return k[keep]
 
 
 def _merge_cells(idx: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
@@ -121,10 +105,7 @@ class _Hist:
             self.table = self.idx, self.w
         old_idx, old_w = self.table
         u, inv = np.unique(np.concatenate([old_idx, idx]), return_inverse=True)
-        acc = np.zeros(len(u))
-        np.add.at(acc, inv[: len(old_idx)], old_w)
-        np.add.at(acc, inv[len(old_idx):], w)
-        self.table = u, acc
+        self.table = u, np.bincount(inv, np.concatenate([old_w, np.broadcast_to(w, idx.shape)]))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .series import (
     series_fixed_word,
     series_over_prefixes,
 )
-from .words import SystemParams, Word, check_draw, max_level, nhat
+from .words import SystemParams, Word, check_draw, max_level, nhat, sorted_unique
 
 #: A generic irrational base point used wherever one representative x is needed.
 GENERIC_BASE_POINT = math.sqrt(2.0) - 1.0
@@ -100,9 +100,9 @@ def exp_separation_scan(
     Value sets are indexed by the matched scale nhat(n), so the threshold and
     the inspected set live at the same scale.  epsilon_max is the largest
     epsilon for which every scanned n would pass.  When b^ell exceeds
-    WORD_CAP, WORD_CAP suffixes are sampled under the seed.  Every scale's
-    tile, b^(nhat - ell) words, must pass ``series.check_tile``; all are
-    checked before any work.
+    WORD_CAP, up to WORD_CAP distinct suffixes are sampled under the seed.
+    Every scale's tile, b^(nhat - ell) words, must pass
+    ``series.check_tile``; all are checked before any work.
 
     One prefix tile grows by ``series._tile_step`` through the scales in
     ascending nhat, so at each prefix length p = nhat - ell it is
@@ -121,7 +121,7 @@ def exp_separation_scan(
         check_tile(b, nh - ell, f"exp_separation_scan: scale n={n} (nhat={nh}, ell={ell})")
     sampled = b**ell > WORD_CAP
     rng = np.random.default_rng(seed)
-    codes = np.sort(rng.integers(0, b**ell, WORD_CAP)) if sampled else np.arange(b**ell)
+    codes = sorted_unique(rng.integers(0, b**ell, WORD_CAP)) if sampled else np.arange(b**ell)
     trees = {}  # batch size -> the digit trees of the suffix batches
     values, prefixes, p = np.zeros(1), np.zeros(1, dtype=np.int32), 0  # the tile of the empty word
     rows = []
@@ -149,13 +149,7 @@ def exp_separation_scan(
         worst = Word.from_code(int(codes[k]), ell, b).to_string()
         rows.append((n, nh, float(gaps[k]), epsilon**nh, worst))
     passing = tuple(n for n, nh, g, thr, _ in rows if g > thr)
-    finite = [(g, nh) for _, nh, g, _, _ in rows if math.isfinite(g)]
-    if any(g <= 0 for g, _ in finite):
-        eps_max = 0.0
-    elif finite:
-        eps_max = min(g ** (1.0 / nh) for g, nh in finite)
-    else:
-        eps_max = math.inf
+    eps_max = min((g ** (1.0 / nh) for _, nh, g, _, _ in rows if math.isfinite(g)), default=math.inf)
     return SeparationScan(
         n_values=tuple(r[0] for r in rows),
         nhats=tuple(r[1] for r in rows),

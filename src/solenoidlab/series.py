@@ -22,11 +22,12 @@ fixed words (``series_fixed_word``, the common suffix of
 ``series_over_prefixes``) and, as the replay oracle, the digits of explicit
 codes (``series_at_codes``); any other array of codes that needs digit
 rows takes them from ``_digit_rows``.  A set of words of one length, given
-by their codes, is appended by ``_append_words`` on its digit tree
-(``_word_tree``): a node at depth i stands for every code with the same
-first i digits, and phi is taken at each node once, not once per word and
-digit.  Each node repeats the append kernel's operations for one word, in
-its order, so every row is that word's ``_append_series`` value bit for bit.
+by their distinct codes in ascending order, is appended by ``_append_words``
+on its digit tree (``_word_tree``): a node at depth i stands for every code
+with the same first i digits, the deepest nodes are the codes themselves,
+and phi is taken at each node once, not once per word and digit.  Each node
+repeats the append kernel's operations for one word, in its order, so every
+row is that word's ``_append_series`` value bit for bit.
 
 Seeded uniform tails (``random_tail_series``) are drawn as whole-word
 codes, one uniform integer in [0, b^G) per G digits, G = max_level(b, 2^53),
@@ -79,7 +80,7 @@ from typing import Iterator
 import numpy as np
 
 from .periodic import PeriodicFn, eval_deriv
-from .words import SystemParams, Word, bin_index, max_level
+from .words import SystemParams, Word, bin_index, max_level, sorted_unique
 
 #: Largest array a bulk enumeration materializes at once.
 DEFAULT_CHUNK_CAP = 1 << 22
@@ -152,22 +153,19 @@ def _append_series(params: SystemParams, tau, digit_rows, order: int = 0, coef: 
     return out
 
 
-def _word_tree(codes, b: int, length: int):
-    """The digit tree of the words of one length with these codes, for
-    ``_append_words``: (levels, leaves).  Level i = 1..length lists its
+def _word_tree(codes, b: int, length: int) -> list:
+    """The digit tree of the words of one length with these codes, distinct
+    and ascending, for ``_append_words``.  Level i = 1..length lists its
     nodes, the distinct codes mod b^i in ascending order, as (digits,
     parents): each node's digit i and the index of its node at depth i - 1.
-    ``leaves`` gives each code's node at depth ``length``, or is None where
-    those nodes are the codes themselves (distinct codes, sorted)."""
+    The nodes at depth ``length`` are the codes themselves."""
     codes = np.asarray(codes, dtype=np.int64)
     levels, up = [], np.zeros(1, dtype=np.int64)  # up: the nodes a depth up, the root first
-    leaves = np.zeros(len(codes), dtype=np.intp)
     for i in range(length):
-        nodes, leaves = np.unique(codes % b ** (i + 1), return_inverse=True)
+        nodes = codes if i == length - 1 else sorted_unique(codes % b ** (i + 1))
         levels.append((nodes // b**i, np.searchsorted(up, nodes % b**i)))
         up = nodes
-    same = len(up) == len(codes) and np.array_equal(up, codes)
-    return levels, (None if same else leaves)
+    return levels
 
 
 def _append_words(params: SystemParams, tau, tree, order: int, coef: float) -> np.ndarray:
@@ -181,11 +179,10 @@ def _append_words(params: SystemParams, tau, tree, order: int, coef: float) -> n
     """
     b = params.b
     step = params.gamma * float(b) ** (-order)
-    levels, leaves = tree
     tau = np.asarray(tau, dtype=float)[None]
     out = np.zeros(tau.shape)
     axes = (1,) * (tau.ndim - 1)
-    for digits, parents in levels:
+    for digits, parents in tree:
         tau = tau[parents]
         tau += digits.reshape((-1,) + axes)
         tau /= b
@@ -194,7 +191,7 @@ def _append_words(params: SystemParams, tau, tree, order: int, coef: float) -> n
         term += out[parents]  # out + term: addition commutes bit for bit
         out = term
         coef *= step
-    return out if leaves is None else out[leaves]
+    return out
 
 
 def series_fixed_word(params: SystemParams, xs: np.ndarray, digits, order: int = 0) -> np.ndarray:

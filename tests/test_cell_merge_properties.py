@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solenoidlab.measures import DiscreteMeasure, _Hist, _merge_cells, sorted_unique
+from solenoidlab.measures import DiscreteMeasure, _Hist, _merge_cells
+from solenoidlab.words import sorted_unique
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

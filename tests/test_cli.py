@@ -479,3 +479,11 @@ def test_budget_override_without_equals_exits_2_before_any_folder(tmp_path, caps
     assert main(["dichotomy-check", "--outdir", str(outdir), "--budget", "word_depth"]) == 2
     assert "name=value: 'word_depth'" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_separation_scan_at_the_int64_bound_exits_0(tmp_path):
+    """ell = 63 at b = 2 draws codes below 2^63, the largest draw allowed."""
+    argv = ["separation-scan", "--outdir", str(tmp_path)]
+    assert main(argv + ["--budget", "ell=63", "--budget", "n_min=84", "--budget", "n_max=84"]) == 0
+    rows = (tmp_path / "separation-scan" / "scan.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["84"]

@@ -7,7 +7,6 @@ from solenoidlab.dynamics import attractor_points
 from solenoidlab.entropy import dimension_estimate
 from solenoidlab.fractal import (
     WEIERSTRASS_TOL,
-    attractor_box_count,
     box_count_dimension,
     box_count_graph,
     predicted_dimension,
@@ -170,7 +169,7 @@ def test_render_counts_equal_pixel_by_pixel_accumulation():
 
 def test_attractor_box_count_runs():
     p = SystemParams(2, 0.4, COS)
-    res = attractor_box_count(p, 2 * 10**5, range(3, 8), seed=5)
+    res = box_count_dimension(attractor_points(p, 2 * 10**5, seed=5), range(3, 8), b=p.b)
     assert 1.3 <= res.slope <= 2.0
 
 

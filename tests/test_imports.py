@@ -32,6 +32,10 @@ decided in one place.
 
 And no module takes a float remainder, so reducing mod 1 is t - floor(t)
 everywhere.
+
+And no module calls np.unique or np.union1d without a ``return_*`` keyword:
+numpy 2.3 and later take those distinct values by a hash table, about 60x
+slower than the sort of ``words.sorted_unique``.
 """
 
 import ast
@@ -303,3 +307,18 @@ def test_no_module_takes_a_float_remainder():
             if any(isinstance(n, ast.Constant) and isinstance(n.value, float) for n in operands):
                 offenders.append(f"{path.stem}:{node.lineno}")
     assert not offenders, f"float remainders outside the floor rule: {offenders}"
+
+
+def test_distinct_values_are_taken_by_sort():
+    """Without a ``return_*`` keyword, np.unique and np.union1d take the hash
+    path; ``words.sorted_unique`` is the one sort-based unique."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"unique", "union1d"}
+                and not any((k.arg or "").startswith("return_") for k in node.keywords)
+            ):
+                offenders.append(f"{path.stem}:{node.lineno}")
+    assert not offenders, f"hash-path unique calls, use words.sorted_unique: {offenders}"

@@ -128,6 +128,20 @@ def test_scan_refuses_an_over_cap_scale_before_any_work(monkeypatch):
     assert steps == []
 
 
+@pytest.mark.parametrize("b, ell, n", [(2, 63, 84), (8, 21, 10)])
+def test_scan_samples_suffixes_up_to_the_int64_bound(b, ell, n):
+    """b^ell = 2^63: the largest draw ``check_draw`` allows.  The sampled
+    suffixes are distinct, and the scan's gap is its worst word's ``min_gap``."""
+    p, x, seed = params(b), 0.3, 3
+    scan = exp_separation_scan(p, x, ell, 0.25, [n], seed=seed)
+    assert scan.sampled_words and math.isfinite(scan.min_gaps[0])
+    worst = Word(tuple(int(c) for c in scan.worst_words[0]), b)
+    assert scan.min_gaps[0] == min_gap(p, x, worst, scan.nhats[0])
+    codes = np.unique(np.random.default_rng(seed).integers(0, b**ell, separation.WORD_CAP))
+    for c in codes[:8]:
+        assert scan.min_gaps[0] <= min_gap(p, x, Word.from_code(int(c), ell, b), scan.nhats[0])
+
+
 # ----------------------------------------------------------------- dichotomy
 
 def test_dichotomy_zero_phi_degenerate():

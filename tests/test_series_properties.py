@@ -120,14 +120,25 @@ def test_word_set_kernel_is_the_per_word_append_bit_for_bit(data):
     length = data.draw(st.integers(0, max_level(p.b, MAX_POINTS)))
     if data.draw(st.booleans()):
         codes = np.arange(p.b**length)  # the full set
-    else:  # a sampled set: sorted, repeats allowed
-        codes = np.sort(data.draw(st.lists(st.integers(0, p.b**length - 1), min_size=1, max_size=12)))
+    else:  # a sampled set: distinct, ascending
+        codes = np.sort(data.draw(st.lists(st.integers(0, p.b**length - 1), min_size=1, max_size=12, unique=True)))
     xs = np.array(data.draw(st.lists(POINTS, min_size=1, max_size=4)))
     coef = data.draw(st.floats(0.01, 1.0))
     got = series._append_words(p, xs, series._word_tree(codes, p.b, length), order, coef)
     rows = [d[:, None] for d in series._digit_rows(codes, p.b, length)]  # one (r, 1) column per digit
     want = series._append_series(p, np.tile(xs, (len(codes), 1)), rows, order, coef)
     assert got.shape == (len(codes), len(xs))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_word_set_kernel_takes_codes_up_to_the_int64_bound():
+    """Words of length 63 at b = 2 have codes up to 2^63 - 1: the tree never
+    forms b^63, and every row is still the per-word append bit for bit."""
+    p, xs = SystemParams(2, 0.4, PeriodicFn.cosine()), np.array([0.3, 0.7])
+    codes = np.array([2**63 - 2**40, 2**63 - 5, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+    got = series._append_words(p, xs, series._word_tree(codes, 2, 63), 0, 1.0)
+    rows = [d[:, None] for d in series._digit_rows(codes, 2, 63)]
+    want = series._append_series(p, np.tile(xs, (len(codes), 1)), rows, 0, 1.0)
     assert got.tobytes() == want.tobytes()
 
 
