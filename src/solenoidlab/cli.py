@@ -41,7 +41,7 @@ from .fractal import (
     render_attractor,
     weierstrass_graph,
 )
-from .measures import EXACT_WORDS, build_mx_empirical, build_mx_exact
+from .measures import build_mx_empirical, build_mx_exact, exact_depth
 from .partitions import (
     decomposition_check,
     separation_exponent,
@@ -55,7 +55,7 @@ from .separation import (
     transversality_search,
 )
 from .series import check_tile, check_walk, tile_digits
-from .words import SystemParams, check_draw, max_level, nhat
+from .words import SystemParams, check_draw, nhat
 
 #: Every budget the experiments read, with its default; an integer default
 #: makes an integer budget.  A callable default depends on the system or on
@@ -66,7 +66,7 @@ BUDGETS = {
     "ell": 4, "n_min": 8, "n_max": 14, "epsilon": 0.25,  # separation-scan
     "x_grid": 64, "word_depth": 12,  # dichotomy-check
     "porosity_word_len": 10, "porosity_m": 6, "porosity_k": 4, "porosity_words": 8,  # porosity
-    "porosity_depth": lambda cfg: min(14, max_level(cfg.params.b, EXACT_WORDS)), "porosity_eps": 0.2,
+    "porosity_depth": lambda cfg: min(14, exact_depth(cfg.params.b)), "porosity_eps": 0.2,
     "theta_t": 2, "grid_size": 1024, "theta_n_min": 16, "theta_n_max": 24,  # theta-entropy
     "decomp_n": 6, "decomp_i": 4, "decomp_level": 6,  # decomposition-check
     "resolution": 512, "render_points": 10**6,  # render

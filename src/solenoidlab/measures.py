@@ -12,13 +12,13 @@ and divides by b^depth once.  While the index span is at most
 2 * items + 1024 (items: the caller's declared total) the table is a dense
 window of sums plus an occupancy mask, and a chunk costs O(chunk); a regrown
 window takes a margin of 1/16 of its old span on each side that grew.
-A wider span falls back to the sorted merge, which re-sorts with every chunk
-and sums each cell by one ``np.bincount``.  Both paths add each cell's
-weights in stream order, so a table is independent of how its stream is
-chunked, and zero-weight cells are kept.
-``series.WORK_BUDGET`` caps the b^depth words an exact build stands for and
-``series.DEFAULT_CHUNK_CAP`` the values any builder materializes at once;
-the experiments' exact builds take their depth from ``EXACT_WORDS``.
+A wider span keeps the table and each later chunk as runs, merged when
+``idx`` or ``w`` is read by one sort and one ``np.bincount`` in stream order.
+Both paths add each cell's weights in stream order, so a table is
+independent of how its stream is chunked, and zero-weight cells are kept.
+``series.check_walk`` caps the words of an exact build, ``series.chunk_rows``
+cuts ``convolve``'s rows, and ``exact_depth`` gives the experiments' exact
+builds their depth from ``EXACT_WORDS``, which only this module reads.
 ``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
 is its one-head case; ``partitions.measure_B`` passes one head per word of a
 uniform word block, the decomposition check's whole mixture among them).
@@ -44,13 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic import eval as phi_eval  # noqa: F401 - perfbench/layers.py wraps this name
-from .series import DEFAULT_CHUNK_CAP, _fiber_cells, eval_S, random_tail_series
+from .series import _fiber_cells, chunk_rows, eval_S, random_tail_series
 from .series import iter_series_all_words  # noqa: F401 - perfbench/layers.py wraps this name
-from .words import BIN_CAP, SystemParams, Word, bin_index, max_level
+from .words import SystemParams, Word, bin_index, check_level, max_level
 
 #: The word count that fixes the depth of the experiments' exact builds.
 EXACT_WORDS = 2**23
 _CHUNK = 1 << 18
+
+
+def exact_depth(b: int) -> int:
+    """The deepest exact build of at most EXACT_WORDS words at base b."""
+    return max_level(b, EXACT_WORDS)
 
 
 def _merge_cells(idx: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
@@ -71,15 +76,21 @@ class _Hist:
         self.lo = 0
         self.acc = np.zeros(0)  # sums over cells lo .. lo + len(acc) - 1
         self.occ = np.zeros(0, dtype=bool)  # cells that received an item
-        self.table = None  # sorted (idx, w) once the span outgrows the window
+        self.table = None  # (idx, w) runs in stream order once the span outgrows the window
+
+    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
+        if len(self.table) > 1:  # merge the runs into one sorted table, which replaces them
+            u, inv = np.unique(np.concatenate([i for i, _ in self.table]), return_inverse=True)
+            self.table = [(u, np.bincount(inv, np.concatenate([w for _, w in self.table])))]
+        return self.table[0]
 
     @property
     def idx(self) -> np.ndarray:
-        return self.table[0] if self.table is not None else np.flatnonzero(self.occ) + self.lo
+        return self._merged()[0] if self.table is not None else np.flatnonzero(self.occ) + self.lo
 
     @property
     def w(self) -> np.ndarray:
-        return self.table[1] if self.table is not None else self.acc[self.occ]
+        return self._merged()[1] if self.table is not None else self.acc[self.occ]
 
     def add(self, idx: np.ndarray, w) -> None:
         """Add a chunk; ``w`` is one weight per item or one for all of them."""
@@ -102,10 +113,8 @@ class _Hist:
                 np.add.at(self.acc, pos, w)
                 self.occ[pos] = True
                 return
-            self.table = self.idx, self.w
-        old_idx, old_w = self.table
-        u, inv = np.unique(np.concatenate([old_idx, idx]), return_inverse=True)
-        self.table = u, np.bincount(inv, np.concatenate([old_w, np.broadcast_to(w, idx.shape)]))
+            self.table = [(self.idx, self.w)]
+        self.table.append((idx, np.broadcast_to(w, idx.shape)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ class DiscreteMeasure:
     # ------------------------------------------------------------ builders
     @classmethod
     def from_values(cls, b: int, level: int, values, weights=None) -> "DiscreteMeasure":
-        _check_level(b, level)
+        check_level(b, level)
         values = np.asarray(values, dtype=float)
         if weights is None:
             weights = np.full(values.shape, 1.0 / values.size)
@@ -151,7 +160,7 @@ class DiscreteMeasure:
     @classmethod
     def uniform_unit(cls, b: int, level: int) -> "DiscreteMeasure":
         """Lebesgue on [0, 1) resolved at the given level."""
-        _check_level(b, level)
+        check_level(b, level)
         n = b**level
         return cls(b, level, np.arange(n, dtype=np.int64), np.full(n, 1.0 / n))
 
@@ -166,14 +175,6 @@ class DiscreteMeasure:
             return self
         f = self.b ** (self.level - level)
         return DiscreteMeasure(self.b, level, self.indices // f, self.weights)
-
-
-def _check_level(b: int, level: int) -> None:
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if level > max_level(b, BIN_CAP):
-        raise ValueError(f"level {level} too deep: b^{level} = {b**level} is above the exact-index cap "
-                         f"{BIN_CAP}; the deepest level allowed at b={b} is {max_level(b, BIN_CAP)}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def tail_sampled_measure(
     sample can therefore land in another cell than the oracle's only if the
     oracle's value lies within that distance of a cell edge.
     """
-    _check_level(params.b, level)
+    check_level(params.b, level)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     heads = np.asarray(heads, dtype=float)
@@ -253,7 +254,7 @@ def build_mx_exact(
     the series tail bound gamma^depth sup|phi| / (1 - gamma) in Levy
     distance.
     """
-    _check_level(params.b, level)
+    check_level(params.b, level)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     total = params.b**depth
@@ -276,7 +277,7 @@ def pushforward_affine(mu: DiscreteMeasure, a: float, c: float, out_level: int) 
     """
     if a == 0.0:
         raise ValueError("a must be nonzero")
-    _check_level(mu.b, out_level)
+    check_level(mu.b, out_level)
     values = a * mu.midpoints() + c
     return DiscreteMeasure.from_values(mu.b, out_level, values, mu.weights)
 
@@ -308,10 +309,10 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int) -> Discre
     """Distribution of the independent sum, midpoint deposition at out_level."""
     if mu.b != nu.b:
         raise ValueError("operands must share the base")
-    _check_level(mu.b, out_level)
+    check_level(mu.b, out_level)
     mm, wm = mu.midpoints(), mu.weights
     nm, wn = nu.midpoints(), nu.weights
-    rows = max(1, DEFAULT_CHUNK_CAP // max(1, len(mm)))
+    rows = chunk_rows(len(mm))
     hist = _Hist(len(mm) * len(nm))
     for start in range(0, len(nm), rows):
         sl = slice(start, start + rows)

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (
-    EXACT_WORDS,
     DiscreteMeasure,
     bin_index,
     build_mx_exact,
+    exact_depth,
     tail_sampled_measure,
     total_variation,
 )
@@ -47,7 +47,7 @@ from .series import (
     series_fixed_word,
     series_over_prefixes,
 )
-from .words import SystemParams, Word, max_level, nhat, word_point
+from .words import SystemParams, Word, nhat, word_point
 
 _TAIL_SAMPLES = 4
 
@@ -136,7 +136,7 @@ class WordMeasure:
     def word_points(self, x0: float) -> np.ndarray:
         """Word points over x0 of j . suffix, in code order."""
         codes = self.codes + self.params.b**self.prefix_len * self.suffix.code()
-        return (x0 + codes) / float(self.params.b) ** self.word_length
+        return (x0 + codes) / float(self.params.b**self.word_length)
 
 
 def theta_measure(params: SystemParams, a: Word, n: int) -> WordMeasure:
@@ -206,7 +206,7 @@ def decomposition_check(
     nh = nhat(n, b, params.gamma)
     ih = nhat(i_level, b, params.gamma)
     check_tile(b, nh + ih, f"decomposition-check: n={n}, i_level={i_level}")
-    depth_lhs = min(params.truncation_depth, max_level(b, EXACT_WORDS) + 1)
+    depth_lhs = min(params.truncation_depth, exact_depth(b) + 1)
     lhs = build_mx_exact(params, x0, level, depth_lhs)
     tile = WordMeasure(params, nh + ih, Word.empty(b))
     rhs = measure_B(params, tile, x0, _TAIL_SAMPLES, seed, level)

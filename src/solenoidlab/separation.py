@@ -25,11 +25,11 @@ import numpy as np
 
 from .periodic import sup_norm
 from .series import (
-    DEFAULT_CHUNK_CAP,
     _append_words,
     _tile_step,
     _word_tree,
     check_tile,
+    chunk_rows,
     eval_S_deriv,  # noqa: F401 - perfbench/layers.py wraps this name
     series_fixed_word,
     series_over_prefixes,
@@ -109,8 +109,8 @@ def exp_separation_scan(
     ``series_over_prefixes(params, x, p)`` bit for bit, and the suffixes are
     appended to it on their digit tree (``series._append_words``), built
     once per scan.  So every gap is ``min_gap``'s for its suffix, bit for
-    bit.  Memory rule: suffixes go in batches of max(1, DEFAULT_CHUNK_CAP //
-    b^p), so no array holds more than the cap's values; the batches' trees
+    bit.  Memory rule: suffixes go in batches of ``series.chunk_rows(b^p)``,
+    so no array holds more than the chunk cap's values; the batches' trees
     are rebuilt only when the batch size changes.
     """
     n_list = sorted(int(v) for v in n_list)
@@ -135,7 +135,7 @@ def exp_separation_scan(
         while p < nh - ell:
             values, prefixes = _tile_step(params, x, p, values, prefixes, np.arange(b, dtype=np.int32))
             p += 1
-        batch = min(len(codes), max(1, DEFAULT_CHUNK_CAP // b**p))  # suffixes per batch, by value count
+        batch = min(len(codes), chunk_rows(b**p))  # suffixes per batch, by value count
         if batch not in trees:
             trees[batch] = [_word_tree(c, b, ell) for c in np.split(codes, range(batch, len(codes), batch))]
         pts, coef = (x + prefixes) / float(b**p), math.prod((params.gamma,) * p)

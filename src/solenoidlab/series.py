@@ -60,10 +60,11 @@ code order in chunks of b^t values, t = tile_digits(b), and is the oracle of
 the third; ``_fiber_cells``, behind ``measures.build_mx_exact``, walks the
 word tree only until the tail bound fixes a subtree's cell, and yields cells
 with the words each stands for.  Where chunks or slices are cut changes
-memory, never a value.  One rule caps a tile: ``check_tile`` refuses b^L
-words above ``DEFAULT_CHUNK_CAP``, naming the caller, b^L, the cap and
-``tile_digits(b)``, the longest L allowed, and no other module compares with
-the cap.  ``check_walk`` refuses a walk for b^depth > ``WORK_BUDGET`` words.
+memory, never a value.  ``check_tile`` refuses b^L words above
+``DEFAULT_CHUNK_CAP``, naming the caller, b^L, the cap and ``tile_digits(b)``,
+the longest L allowed; ``chunk_rows`` fits rows of values to a chunk; and
+``check_walk`` refuses a walk for b^depth > ``WORK_BUDGET`` words.  No other
+module reads either constant.
 
 ``eval_S_deriv`` stays a scalar loop over Python floats and shares only the
 phi kernel ``periodic.eval_deriv`` with the bulk path, so it serves as the
@@ -91,6 +92,11 @@ WORK_BUDGET = 10**8
 def tile_digits(b: int) -> int:
     """The longest word length whose tile, b^length words, fits DEFAULT_CHUNK_CAP."""
     return max_level(b, DEFAULT_CHUNK_CAP)
+
+
+def chunk_rows(width: int) -> int:
+    """Rows of ``width`` values that fit in one chunk of DEFAULT_CHUNK_CAP, at least one."""
+    return max(1, DEFAULT_CHUNK_CAP // max(1, width))
 
 
 def check_tile(b: int, length: int, what: str) -> None:
@@ -292,10 +298,10 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
     27 -> 43 MiB tracemalloc peak, 0.062 -> 0.070 s at level 20, depth 24;
     132 -> 103 MiB, 0.50 -> 0.44 s at level 24, depth 22.  Memory rule: at
     the chunk seam t = tile_digits(b) the nodes go on in slices of
-    max(1, b^(2t - depth)), so no level of a slice materializes more values
-    than one chunk of ``iter_series_all_words`` while depth <= 2t, and the
-    slices yield no more often than its chunks.  Codes are int32.  Both hold
-    as ``check_walk`` keeps b^depth <= 10^8 < min(2^31, b^(2t+1)), b <= 2^22.
+    chunk_rows(b^(depth - t)), so no level of a slice exceeds the cap while
+    depth <= 2t, nor do slices outnumber ``iter_series_all_words``' chunks.
+    Codes are int32.  Both hold as ``check_walk`` keeps b^depth <= 10^8 <
+    min(2^31, b^(2t+1)), b <= 2^22.
 
     The slack bounds the rounding between v and V.  Let u = eps / 2,
     F = fiber_bound, T_n the exact tail sup|phi| gamma^n / (1 - gamma), and
@@ -332,7 +338,7 @@ def _fiber_cells(params: SystemParams, x: float, level: int, depth: int) -> Iter
         return values, codes
 
     values, codes = yield from descend(0, t, np.zeros(1), np.zeros(1, dtype=np.int32))
-    step = b ** max(0, 2 * t - depth)
+    step = chunk_rows(b ** (depth - t))
     for start in range(0, len(values), step):
         leaves = (yield from descend(t, depth, values[start:start + step], codes[start:start + step]))[0]
         yield bin_index(leaves, b, level), 1

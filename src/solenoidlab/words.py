@@ -191,6 +191,15 @@ def max_level(b: int, limit) -> int:
     return level
 
 
+def check_level(b: int, level: int) -> None:
+    """Refuse a negative level, or one whose cells b^level pass BIN_CAP."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    if level > max_level(b, BIN_CAP):
+        raise ValueError(f"level {level} too deep: b^{level} = {b**level} is above the exact-index cap "
+                         f"{BIN_CAP}; the deepest level allowed at b={b} is {max_level(b, BIN_CAP)}")
+
+
 def check_draw(b: int, length: int, what: str) -> None:
     """Refuse a seeded draw of codes below b^length > 2^63, numpy's int64 bound, naming ``what``."""
     if b**length > 2**63:

@@ -341,6 +341,13 @@ def test_porosity_reports_its_depth_dropped_tail_and_vacuous_verdict(tmp_path, g
     assert len((tmp_path / "out" / "porosity" / "porosity.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("b, depth", [(2, 14), (3, 14), (4, 11), (5, 9), (6, 8), (7, 8)])
+def test_porosity_depth_default_by_base(b, depth):
+    # min(14, the deepest exact build of at most 2^23 words)
+    cfg = RunConfig(SystemParams(b, 0.4, PeriodicFn.cosine()), ("porosity",))
+    assert cli._budget(cfg, "porosity_depth") == depth
+
+
 @pytest.mark.parametrize(
     "experiment, budget, b, power",
     [("porosity", "porosity_word_len", 2, 64), ("porosity", "porosity_word_len", 3, 40),

@@ -26,9 +26,11 @@ And every module-level private function, class and constant of the package
 is read somewhere in the package, so no leftover of a removed code path
 stays behind.
 
-And no module but ``series`` compares anything with DEFAULT_CHUNK_CAP or
-WORK_BUDGET, so the tile-size rule and the walk's work limit are each
-decided in one place.
+And no module reads an upper-case constant that another module defines,
+by import or as an attribute, and no two modules define one name: each
+budget is read, compared with and enforced only by the module that owns it
+(so only ``series`` compares with DEFAULT_CHUNK_CAP or WORK_BUDGET), and
+other modules call its rules.
 
 And no module takes a float remainder, so reducing mod 1 is t - floor(t)
 everywhere.
@@ -255,32 +257,34 @@ def test_private_definitions_are_read_in_the_package():
     assert not unread, f"private definitions nothing in the package reads: {unread}"
 
 
-def _comparisons_outside_series(name: str) -> list[str]:
-    """module:line of every comparison with ``name`` outside ``series``."""
-    offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "series":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Compare) and any(
-                getattr(n, "id", getattr(n, "attr", None)) == name for n in ast.walk(node)
-            ):
-                offenders.append(f"{path.stem}:{node.lineno}")
-    return offenders
+#: Upper-case names other modules may read: a shared base point, not a budget.
+SHARED_CONSTANTS = {"GENERIC_BASE_POINT"}
 
 
-def test_only_series_compares_with_the_tile_cap():
-    """``series.check_tile`` and ``series.tile_digits`` are the one tile-size
-    rule: no other module compares anything with DEFAULT_CHUNK_CAP."""
-    offenders = _comparisons_outside_series("DEFAULT_CHUNK_CAP")
-    assert not offenders, f"comparisons with DEFAULT_CHUNK_CAP outside series: {offenders}"
-
-
-def test_only_series_compares_with_the_walk_budget():
-    """``series.check_walk`` is the one rule for the walk's work limit: no
-    other module compares anything with WORK_BUDGET."""
-    offenders = _comparisons_outside_series("WORK_BUDGET")
-    assert not offenders, f"comparisons with WORK_BUDGET outside series: {offenders}"
+def test_each_constant_is_read_only_by_its_owner():
+    """A budget lives in one module, which alone reads it: others call the
+    owner's rule (``series.check_tile``, ``series.chunk_rows``,
+    ``measures.exact_depth``, ``words.check_level``) and never copy the value
+    at import, where a patched or changed budget would not reach them."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    owners = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if name.isupper():
+                    owners.setdefault(name, []).append(stem)
+    twice = sorted(f"{name} {stems}" for name, stems in owners.items() if len(stems) > 1)
+    reads = sorted(
+        f"{stem} {name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        for name in ([a.name for a in node.names] if isinstance(node, ast.ImportFrom) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+        if name in owners and stem not in owners[name] and name not in SHARED_CONSTANTS
+    )
+    assert not twice, f"upper-case constants defined in more than one module: {twice}"
+    assert not reads, f"constants read outside the module that owns them: {reads}"
 
 
 #: Calls that take a float remainder.

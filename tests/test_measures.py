@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from solenoidlab import measures, series
 from solenoidlab.measures import (
     DiscreteMeasure,
     build_mx_empirical,
@@ -157,6 +158,20 @@ def test_convolve_dirac_pair():
     conv = convolve(DiscreteMeasure.from_values(2, 8, [u]), DiscreteMeasure.from_values(2, 8, [v]), 8)
     assert len(conv.indices) == 1
     assert abs(conv.indices[0] - math.floor((u + v) * 2**8)) <= 1
+
+
+def test_convolve_rows_stay_within_the_series_chunk_cap(monkeypatch):
+    # the cap is read where series owns it: patched there alone, it bounds
+    # every array of convolve's rows, and the result keeps its bits
+    rng = np.random.default_rng(7)
+    mu, nu = rand_measure(rng, level=12, natoms=100), rand_measure(rng, level=12, natoms=90)
+    want = convolve(mu, nu, 12)
+    sizes, original = [], measures.bin_index
+    monkeypatch.setattr(measures, "bin_index", lambda v, b, level: sizes.append(np.size(v)) or original(v, b, level))
+    monkeypatch.setattr(series, "DEFAULT_CHUNK_CAP", 10 * len(mu.indices))
+    got = convolve(mu, nu, 12)
+    assert 0 < max(sizes) <= 10 * len(mu.indices) and len(sizes) > 1
+    assert got.indices.tobytes() == want.indices.tobytes() and got.weights.tobytes() == want.weights.tobytes()
 
 
 def test_convolve_matches_sampling_oracle():

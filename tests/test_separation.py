@@ -107,13 +107,17 @@ def test_scan_rows_equal_the_min_gap_oracle(monkeypatch, b, gamma, ns, ell, word
         gaps = [min_gap(p, x, w, nh) for w in suffixes]
         assert gap == min(gaps)
         assert worst == suffixes[gaps.index(gap)].to_string()  # the first minimal suffix
-    # a cap at which the largest tile fits and the suffixes go two at a time there
+    # a cap at which the largest tile fits and the suffixes go two at a time
+    # there, set on series alone: no array the scan forms holds more values
     cap = 2 * b ** (max(scan.nhats) - ell)
+    sizes, eval_deriv = [], series.eval_deriv
+    monkeypatch.setattr(series, "eval_deriv", lambda phi, pts, order: sizes.append(np.size(pts)) or
+                        eval_deriv(phi, pts, order))
     monkeypatch.setattr(series, "DEFAULT_CHUNK_CAP", cap)
-    monkeypatch.setattr(separation, "DEFAULT_CHUNK_CAP", cap)
     split = exp_separation_scan(p, x, ell, 0.25, ns, seed=seed)
     assert split == scan
     assert np.array(split.min_gaps).tobytes() == np.array(scan.min_gaps).tobytes()
+    assert 0 < max(sizes) <= cap
 
 
 def test_scan_refuses_an_over_cap_scale_before_any_work(monkeypatch):
