@@ -257,6 +257,34 @@ def test_private_definitions_are_read_in_the_package():
     assert not unread, f"private definitions nothing in the package reads: {unread}"
 
 
+def _comparisons_outside_series(name: str) -> list[str]:
+    """module:line of every comparison with ``name`` outside ``series``."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "series":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", None)) == name for n in ast.walk(node)
+            ):
+                offenders.append(f"{path.stem}:{node.lineno}")
+    return offenders
+
+
+def test_only_series_compares_with_the_tile_cap():
+    """``series.check_tile`` and ``series.tile_digits`` are the one tile-size
+    rule: no other module compares anything with DEFAULT_CHUNK_CAP."""
+    offenders = _comparisons_outside_series("DEFAULT_CHUNK_CAP")
+    assert not offenders, f"comparisons with DEFAULT_CHUNK_CAP outside series: {offenders}"
+
+
+def test_only_series_compares_with_the_walk_budget():
+    """``series.check_walk`` is the one rule for the walk's work limit: no
+    other module compares anything with WORK_BUDGET."""
+    offenders = _comparisons_outside_series("WORK_BUDGET")
+    assert not offenders, f"comparisons with WORK_BUDGET outside series: {offenders}"
+
+
 #: Upper-case names other modules may read: a shared base point, not a budget.
 SHARED_CONSTANTS = {"GENERIC_BASE_POINT"}
 
