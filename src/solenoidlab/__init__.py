@@ -31,8 +31,6 @@ from .measures import (
     SelfSimilarityReport,
     build_mx_empirical,
     build_mx_exact,
-    component,
-    convolve,
     mix,
     pushforward_affine,
     self_similarity_residual,
@@ -58,7 +56,6 @@ from .separation import (
     TransversalityCertificate,
     condition_H_scan,
     exp_separation_scan,
-    min_gap,
     transversality_search,
     validate_certificate,
 )

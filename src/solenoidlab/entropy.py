@@ -86,7 +86,8 @@ class PorosityReport:
 
 
 def _component_entropies(mu: DiscreteMeasure, i: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parent masses, component entropies at level i+m) over level-i cells."""
+    """(parent masses, component entropies at level i+m) over level-i cells,
+    in one pass; the test oracle ``component`` conditions on one cell at a time."""
     child = mu.coarsen(i + m)
     # coarsened indices are strictly increasing, so each parent's cells are one run
     p = child.indices // (mu.b**m)

@@ -5,8 +5,8 @@ stored as a sorted table of int64 cell indices with positive weights that
 sum to one.  Levels are capped so that index arithmetic stays exact in
 float64 (b^level <= 2^45).  ``_Hist`` is the one rule that accumulates
 (index, weight) chunks; ``_merge_cells`` is its one-chunk case.  Its callers
-are the sampled builder, ``mix``, ``convolve``, ``total_variation`` (mu's
-weights, then nu's negated) and the exact builder, which feeds it the word
+are the sampled builder, ``mix``, ``total_variation`` (mu's weights, then
+nu's negated) and the exact builder, which feeds it the word
 counts of ``series._fiber_cells`` (whole numbers, so their sums are exact)
 and divides by b^depth once.  While the index span is at most
 2 * items + 1024 (items: the caller's declared total) the table is a dense
@@ -16,9 +16,9 @@ A wider span keeps the table and each later chunk as runs, merged when
 ``idx`` or ``w`` is read by one sort and one ``np.bincount`` in stream order.
 Both paths add each cell's weights in stream order, so a table is
 independent of how its stream is chunked, and zero-weight cells are kept.
-``series.check_walk`` caps the words of an exact build, ``series.chunk_rows``
-cuts ``convolve``'s rows, and ``exact_depth`` gives the experiments' exact
-builds their depth from ``EXACT_WORDS``, which only this module reads.
+``series.check_walk`` caps the words of an exact build, and ``exact_depth``
+gives the experiments' exact builds their depth from ``EXACT_WORDS``, which
+only this module reads.
 ``tail_sampled_measure`` is the one sampled builder (``build_mx_empirical``
 is its one-head case; ``partitions.measure_B`` passes one head per word of a
 uniform word block, the decomposition check's whole mixture among them).
@@ -26,9 +26,6 @@ One chunk rule fixes every sampled stream: heads go in groups of
 max(1, _CHUNK // samples) and each group's samples are drawn _CHUNK at a
 time.  ``_CHUNK`` = 2^18 keeps a chunk's series values, codes and kernel
 scratch to a few MiB each; another ``_CHUNK`` would change the streams.
-``component`` conditions a measure on one cell, given by its level and
-index; it is the oracle of ``entropy._component_entropies``, which takes the
-entropies of all the components at one level in one pass.
 
 Affine images deposit each source cell's mass at the image of the cell
 midpoint; the induced atom displacement is at most |a| b^(-level) / 2 and is
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic import eval as phi_eval  # noqa: F401 - perfbench/layers.py wraps this name
-from .series import _fiber_cells, chunk_rows, eval_S, random_tail_series
+from .series import _fiber_cells, eval_S, random_tail_series
 from .series import iter_series_all_words  # noqa: F401 - perfbench/layers.py wraps this name
 from .words import SystemParams, Word, bin_index, check_level, max_level
 
@@ -127,6 +124,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
+        check_level(self.b, self.level)
         idx = np.asarray(self.indices, dtype=np.int64)
         w = np.asarray(self.weights, dtype=float)
         if idx.shape != w.shape or idx.ndim != 1:
@@ -303,34 +301,6 @@ def mix(components) -> DiscreteMeasure:
     if abs(total - 1.0) > 1e-9:
         raise ValueError("mixture weights must sum to 1")
     return DiscreteMeasure(first.b, first.level, hist.idx, hist.w)
-
-
-def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure, out_level: int) -> DiscreteMeasure:
-    """Distribution of the independent sum, midpoint deposition at out_level."""
-    if mu.b != nu.b:
-        raise ValueError("operands must share the base")
-    check_level(mu.b, out_level)
-    mm, wm = mu.midpoints(), mu.weights
-    nm, wn = nu.midpoints(), nu.weights
-    rows = chunk_rows(len(mm))
-    hist = _Hist(len(mm) * len(nm))
-    for start in range(0, len(nm), rows):
-        sl = slice(start, start + rows)
-        vals = (nm[sl][:, None] + mm[None, :]).reshape(-1)
-        ws = (wn[sl][:, None] * wm[None, :]).reshape(-1)
-        hist.add(bin_index(vals, mu.b, out_level), ws)
-    return DiscreteMeasure(mu.b, out_level, hist.idx, hist.w)
-
-
-def component(mu: DiscreteMeasure, level: int, index: int) -> DiscreteMeasure:
-    """Condition mu on the cell [index / b^level, (index + 1) / b^level) and renormalize."""
-    if level > mu.level:
-        raise ValueError("cell must be at most as fine as the measure")
-    f = mu.b ** (mu.level - level)
-    sel = mu.indices // f == index
-    if not sel.any():  # weights are positive: an occupied cell carries mass
-        raise ValueError("cell carries no mass")
-    return DiscreteMeasure(mu.b, mu.level, mu.indices[sel], mu.weights[sel])
 
 
 def total_variation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -257,17 +257,17 @@ def separation_exponent(scan: SeparationScan, b: int) -> float:
     return max(ratios)
 
 
-def _theta_keys(params: SystemParams, cert: TransversalityCertificate, n: int, C: float):
-    """The suffix-class measure of scale n with its key columns at partition
-    level 0 and at level max(1, round(C n)), each as (columns, lev12, lev3)."""
-    theta = theta_measure(params, cert.a, n)
+def _theta_keys(params: SystemParams, cert: TransversalityCertificate, theta: WordMeasure, n: int, C: float):
+    """The key columns of the suffix-class measure ``theta`` of scale n at
+    partition level 0 and at level max(1, round(C n)), each as (columns,
+    lev12, lev3)."""
     values = theta.series(cert.x0)
     base = theta.word_points(cert.x0)
     probes = [series_fixed_word(params, base, w.digits) for w in (cert.h, cert.h_prime)]
     m = theta.word_length
     coarse = partition_keys(params, 0, m, values, probes)
     fine = partition_keys(params, max(1, round(C * n)), m, values, probes)
-    return theta, coarse, fine
+    return coarse, fine
 
 
 def theta_entropy_table(
@@ -281,11 +281,14 @@ def theta_entropy_table(
     coarse: (1/n) H at partition level 0 (series cell only); fine: (1/n) H
     at partition level round(C n) including the probe cells.  With all keys
     distinct the fine value equals (nhat - t) / n exactly, the counting
-    ceiling; collisions can only lower it.
+    ceiling; collisions can only lower it.  Every row's measure is built,
+    and so passes ``series.check_tile``, before the first row is evaluated.
     """
+    n_list = sorted(int(v) for v in n_list)
+    thetas = [theta_measure(params, cert.a, n) for n in n_list]
     rows = []
-    for n in sorted(int(v) for v in n_list):
-        theta, (coarse, _, _), (fine, _, _) = _theta_keys(params, cert, n, C)
+    for n, theta in zip(n_list, thetas):
+        (coarse, _, _), (fine, _, _) = _theta_keys(params, cert, theta, n, C)
         rows.append(
             ThetaEntropyRow(
                 n=n,

@@ -13,7 +13,8 @@ grows through its scales, and each set of suffixes (and the transversality
 search's prefixes) is appended on its digit tree by
 ``series._append_words``, which takes phi once per tree node.  Every value
 is bit for bit the one ``series_over_prefixes`` or the per-word append
-would give, so ``min_gap`` stays the scan's exact oracle.
+would give, so the test oracle ``min_gap`` (tests/series_oracles.py), one
+sorted tile per suffix, gives every scan gap exactly.
 """
 
 from __future__ import annotations
@@ -52,17 +53,6 @@ def _min_gaps(values: np.ndarray) -> np.ndarray:
     in place, so the result does not depend on word order."""
     values.sort(axis=-1)
     return np.diff(values, axis=-1).min(axis=-1)
-
-
-def min_gap(params: SystemParams, x: float, w: Word, n: int) -> float:
-    """Minimum pairwise distance of {S(x, j w) : j in Lambda^(n - |w|)}.
-
-    Exact finite-word evaluation: one prefix tile with w appended digit by
-    digit, the oracle of ``exp_separation_scan``'s gaps.
-    """
-    if n <= len(w):
-        raise ValueError("n must exceed the suffix length")
-    return float(_min_gaps(series_over_prefixes(params, x, n - len(w), suffix=w.digits)))
 
 
 @dataclass(frozen=True)
@@ -108,10 +98,11 @@ def exp_separation_scan(
     ascending nhat, so at each prefix length p = nhat - ell it is
     ``series_over_prefixes(params, x, p)`` bit for bit, and the suffixes are
     appended to it on their digit tree (``series._append_words``), built
-    once per scan.  So every gap is ``min_gap``'s for its suffix, bit for
-    bit.  Memory rule: suffixes go in batches of ``series.chunk_rows(b^p)``,
-    so no array holds more than the chunk cap's values; the batches' trees
-    are rebuilt only when the batch size changes.
+    once per scan.  So every gap is the least difference of its suffix's
+    sorted ``series_over_prefixes`` values, bit for bit, as the test oracle
+    ``min_gap`` takes it.  Memory rule: suffixes go in batches of
+    ``series.chunk_rows(b^p)``, so no array holds more than the chunk cap's
+    values; the batches' trees are rebuilt only when the batch size changes.
     """
     n_list = sorted(int(v) for v in n_list)
     b = params.b
@@ -279,16 +270,19 @@ def transversality_search(
 
     Lower bounds over a base cell are grid minima minus a Lipschitz modulus
     (from the certified second-derivative sup-norm) minus the geometric
-    envelope of all word extensions.
+    envelope of all word extensions.  Every t, b^t prefixes, must be within
+    WORD_CAP; all are checked before any work.
     """
     best: TransversalityCertificate | None = None
     phi1 = sup_norm(params.phi, 1)
     phi2 = sup_norm(params.phi, 2)
     b, gam = params.b, params.gamma
-    for t in sorted(int(v) for v in t_list):
+    t_list = sorted(int(v) for v in t_list)
+    for t in t_list:
         if b**t > WORD_CAP:
             raise ValueError(f"transversality_search: prefix budget b^t at t={t} is {b**t}, above WORD_CAP "
                              f"{WORD_CAP}; the largest t allowed at b={b} is {max_level(b, WORD_CAP)}")
+    for t in t_list:
         points = max(8, grid_size // b**t)
         slack_pair = 2.0 * (gam / b) ** t * phi1 / (1.0 - gam / b)
         slack_single = slack_pair / 2.0

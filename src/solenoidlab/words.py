@@ -184,7 +184,9 @@ class SystemParams:
 
 
 def max_level(b: int, limit) -> int:
-    """Largest L >= 0 with b^L <= limit, in exact integer arithmetic."""
+    """Largest L >= 0 with b^L <= limit, in exact integer arithmetic; b >= 2."""
+    if b < 2:
+        raise ValueError(f"b must be >= 2, got b={b}")
     level, power = 0, b
     while power <= limit:
         level, power = level + 1, power * b
@@ -192,7 +194,7 @@ def max_level(b: int, limit) -> int:
 
 
 def check_level(b: int, level: int) -> None:
-    """Refuse a negative level, or one whose cells b^level pass BIN_CAP."""
+    """Refuse a negative level, a base below 2, or a level whose cells b^level pass BIN_CAP."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > max_level(b, BIN_CAP):

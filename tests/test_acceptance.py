@@ -16,7 +16,6 @@ from solenoidlab.fractal import box_count_dimension, box_count_graph, predicted_
 from solenoidlab.measures import (
     DiscreteMeasure,
     build_mx_empirical,
-    convolve,
     mix,
     pushforward_affine,
     self_similarity_residual,
@@ -31,6 +30,8 @@ from solenoidlab.separation import (
 )
 from solenoidlab.series import series_at_codes
 from solenoidlab.words import SystemParams
+
+from series_oracles import convolve
 
 COS = PeriodicFn.cosine()
 ALPHA_2_04 = math.log(2) / math.log(2.5)  # 0.75647...

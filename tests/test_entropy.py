@@ -14,13 +14,13 @@ from solenoidlab.entropy import (
 from solenoidlab.measures import (
     DiscreteMeasure,
     build_mx_exact,
-    component,
-    convolve,
     mix,
     pushforward_affine,
 )
 from solenoidlab.periodic import PeriodicFn
 from solenoidlab.words import SystemParams
+
+from series_oracles import component, convolve
 
 
 def rand_measure(rng, b=2, level=8, natoms=16, lo=0.0, hi=1.0):
@@ -150,6 +150,14 @@ def test_dimension_estimate_lebesgue_and_dirac():
 def test_dimension_estimate_rejects_small_windows():
     with pytest.raises(ValueError):
         dimension_estimate(DiscreteMeasure.uniform_unit(2, 8), [3, 5])
+
+
+def test_entropy_and_profile_refuse_a_negative_level():
+    # a level below 0 used to coarsen to a measure there: H = -0.0, slope 0.0
+    uni = DiscreteMeasure.uniform_unit(2, 6)
+    for build in (lambda: entropy(uni, -1), lambda: dimension_estimate(uni, [-2, -1, 0])):
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            build()
 
 
 def test_profile_increments_monotone_entropies():

@@ -60,6 +60,8 @@ def test_box_count_rejections():
         box_count_dimension([(pts[:, 0], pts[:, 1])], [4, 5])
     with pytest.raises(ValueError, match=r"level 31 .* 2147483648 .*1073741824.* b=2 is 30"):
         box_count_dimension([(pts[:, 0], pts[:, 1])], [29, 30, 31])
+    with pytest.raises(ValueError, match="^b must be >= 2, got b=1$"):
+        box_count_dimension([(pts[:, 0], pts[:, 1])], [1, 2, 3], b=1)
 
 
 def test_box_count_refuses_repeated_levels():

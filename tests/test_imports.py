@@ -4,11 +4,16 @@ An import no code in its module reads is dead, except where the benchmark's
 tracer wraps the name as that module binds it; such imports carry MARKER on
 their line, and the marked name must be one of the tracer's bindings.
 
-Likewise every function and class the package exports, and every public
-method, property and classmethod of a public class in the package, is read
-by the package or by the benchmark (as a name or an attribute), or is listed
-in TEST_ONLY with the reason tests need it.  Methods are listed as
-Class.method and count as read wherever an attribute of their name is.
+Likewise every public function and class of the package, and every public
+method, property and classmethod of a public class, is reached from
+``cli.main``, or is listed in TEST_ONLY with the reason tests need it and the
+ROADMAP item that gives it a reader or moves it to tests; a listed name that
+``cli.main`` reaches is stale.  Reached is the closure of the names that
+reached definitions read, resolved in their module and through imports under
+any alias; a module-level assignment reaches what its value reads.  Methods
+are listed as Class.method and are reached, once their class is, wherever
+reached code reads an attribute of their name.  Test oracles live in
+tests/series_oracles.py, not in the package.
 
 And every annotated field of a public class in the package is read as an
 attribute (``obj.field``) by the package or by the benchmark, or is listed in
@@ -41,20 +46,22 @@ slower than the sort of ``words.sorted_unique``.
 """
 
 import ast
-import inspect
 import math
 from pathlib import Path
-
-import solenoidlab
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "solenoidlab"
 MARKER = "# noqa: F401 - perfbench/layers.py wraps this name"
 
-#: Public names that only tests call, and record fields that only tests read,
-#: each with the reason it stays.
+#: Public definitions that no CLI path reaches, and record fields and
+#: defaulted parameters that only tests read or pass, each with the reason it
+#: stays; a definition names the ROADMAP item that gives it a reader or moves
+#: it to tests.
 TEST_ONLY = {
+    "DiscreteMeasure.from_values": "bins pushforward_affine's images; reached with self_similarity_residual (ROADMAP item 1)",
+    "DiscreteMeasure.midpoints": "the atoms pushforward_affine maps; reached with self_similarity_residual (ROADMAP item 1)",
     "DiscreteMeasure.uniform_unit": "the Lebesgue reference of acceptance criterion 5",
+    "PartitionKey": "record of the partition_key oracle; moves to tests with it (ROADMAP item 8)",
     "PartitionKey.cell1": "scalar oracle of the bulk key columns of partitions.partition_keys",
     "PartitionKey.cell2": "scalar oracle of the bulk key columns of partitions.partition_keys",
     "PartitionKey.cell3": "scalar oracle of the bulk key columns of partitions.partition_keys",
@@ -65,16 +72,21 @@ TEST_ONLY = {
     "PeriodicFn.sine(amplitude)": "the 0.6 sin(4 pi x) system of tests/test_dynamics.py's bit-for-bit orbit check",
     "PeriodicFn.sine(harmonic)": "the 0.6 sin(4 pi x) system of tests/test_dynamics.py's bit-for-bit orbit check",
     "RunConfig.to_json": "round-trip partner of RunConfig.from_json, which the CLI reads",
+    "SelfSimilarityReport": "record of self_similarity_residual; decomposition-check reports it (ROADMAP item 1)",
     "SelfSimilarityReport.certified_bound": "acceptance criterion 4",
     "SeparationScan.worst_words": "re-checked through min_gap: the scan's gap is that word's value-set gap",
     "Word.concat": "word algebra of the cocycle oracle in tests/series_oracles.py",
-    "cohomological_phi": "builds the degenerate system of acceptance criterion 2",
-    "component": "oracle of entropy._component_entropies",
-    "convolve": "the convolution entropy bound of acceptance criterion 5",
-    "min_gap": "oracle of the batched value-set gaps of separation.exp_separation_scan",
-    "partition_key": "oracle of the bulk key columns of partitions.theta_entropy_table",
-    "self_similarity_residual": "acceptance criterion 4",
-    "validate_certificate": "oracle re-check of transversality_search certificates on a finer grid",
+    "cohomological_phi": "builds the degenerate system of acceptance criterion 2; dichotomy-check splits it (ROADMAP item 6)",
+    "eval_S": "scalar series oracle that perfbench/layers.py binds; moves to tests once the benchmark reads spans (ROADMAP item 8)",
+    "eval_S_deriv": "scalar oracle of the bulk kernels that perfbench/layers.py binds; moves to tests (ROADMAP item 8)",
+    "iter_series_all_words": "all-words oracle of build_mx_exact that perfbench/layers.py binds; moves to tests (ROADMAP item 8)",
+    "mix": "the mixture side of self_similarity_residual; reached with it (ROADMAP item 1)",
+    "partition_key": "oracle of the bulk key columns of partitions.theta_entropy_table; moves to tests (ROADMAP item 8)",
+    "pushforward_affine": "the affine images of self_similarity_residual; reached with it (ROADMAP item 1)",
+    "self_similarity_residual": "acceptance criterion 4; decomposition-check reports it with a true bound (ROADMAP item 1)",
+    "series_at_codes": "series at given codes that perfbench/layers.py binds; moves to tests (ROADMAP item 8)",
+    "validate_certificate": "oracle re-check of transversality_search certificates; theta-entropy runs it (ROADMAP item 1)",
+    "word_point": "scalar word point of the partition_key and cocycle oracles; moves to tests with them (ROADMAP item 8)",
 }
 
 
@@ -127,48 +139,101 @@ def _code_nodes():
         yield from ast.walk(ast.parse(path.read_text()))
 
 
-def _read_names() -> set[str]:
-    """Names read, as names or as attributes, in the package's modules and in perfbench/."""
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in _code_nodes()
-        if isinstance(n, (ast.Name, ast.Attribute))
-    }
+def _definitions() -> tuple[dict, dict]:
+    """The package's definitions by (module, name): module-level functions,
+    classes and assignment targets, and methods as (module, "Class.method");
+    and its package-relative imports, (module, bound name) -> (module, name)."""
+    defs, aliases = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = node
+            if isinstance(node, ast.ClassDef):
+                defs |= {(path.stem, f"{node.name}.{f.name}"): f for f in node.body if isinstance(f, ast.FunctionDef)}
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs |= {(path.stem, n.id): node for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                aliases |= {(path.stem, a.asname or a.name): (node.module, a.name) for a in node.names}
+    return defs, aliases
 
 
-def _public_members(kind) -> set[str]:
-    """Class.member of every public ``kind`` node (ast.FunctionDef for
-    methods, ast.AnnAssign for fields) of a public class defined in the package."""
+def _read_by(node):
+    """The nodes a reached definition reads: all of a function or an
+    assignment; of a class, all but the methods that are not dunders, which
+    are reached by their attribute name."""
+    if not isinstance(node, ast.ClassDef):
+        return ast.walk(node)
+    parts = node.decorator_list + node.bases + [
+        f for f in node.body if not isinstance(f, ast.FunctionDef) or f.name.startswith("__")
+    ]
+    return (n for part in parts for n in ast.walk(part))
+
+
+def _reached_from_main() -> set[tuple[str, str]]:
+    """(module, name) of every definition ``cli.main`` reaches.
+
+    The closure of the names that reached definitions read: a name resolves
+    in its module, an import to the definition it binds under any ``as``
+    alias (``phi_eval`` is ``periodic.eval``), and a module-level assignment
+    (``EXPERIMENTS``, ``BUDGETS``) reaches what its value reads.  A method of
+    a reached class is reached once reached code reads an attribute of its
+    name.
+    """
+    defs, aliases = _definitions()
+    reached, attrs, todo = set(), set(), [("cli", "main")]
+    while todo:
+        key = todo.pop()
+        while key in aliases:
+            key = aliases[key]
+        if key in defs and key not in reached:
+            reached.add(key)
+            for n in _read_by(defs[key]):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    todo.append((key[0], n.id))
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    attrs.add(n.attr)
+        if not todo:  # methods of reached classes whose attribute name reached code reads
+            todo = [
+                (stem, name)
+                for stem, name in defs
+                if "." in name and (stem, name) not in reached
+                and (stem, name.split(".")[0]) in reached and name.split(".")[1] in attrs
+            ]
+    return reached
+
+
+def _public_fields() -> set[str]:
+    """Class.field of every public annotated field of a public class defined in the package."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                names = [
-                    f.target.id if isinstance(f, ast.AnnAssign) else f.name
-                    for f in node.body
-                    if isinstance(f, kind)
-                ]
+                names = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
                 out |= {f"{node.name}.{name}" for name in names if not name.startswith("_")}
     return out
 
 
-def test_exported_api_is_used_or_listed_as_test_only():
-    public = _public_members(ast.FunctionDef) | {
+def test_public_api_is_reached_from_cli_main_or_listed_as_test_only():
+    defs, _ = _definitions()
+    public = {
         name
-        for name in solenoidlab.__all__
-        if inspect.isfunction(getattr(solenoidlab, name)) or inspect.isclass(getattr(solenoidlab, name))
+        for (_, name), node in defs.items()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(part.startswith("_") for part in name.split("."))
     }
-    read = _read_names()
-    unused = {name for name in public if name.rsplit(".", 1)[-1] not in read}
-    unlisted = sorted(unused - set(TEST_ONLY))
-    listable = public | _public_members(ast.AnnAssign) | set(_defaulted_parameters())
-    stale = sorted(name for name in TEST_ONLY if name not in listable or name in public and name not in unused)
-    assert not unlisted, f"public names only tests call, missing from TEST_ONLY: {unlisted}"
-    assert not stale, f"TEST_ONLY entries that are not public or are read in code: {stale}"
+    reached = {name for _, name in _reached_from_main()}
+    unlisted = sorted(public - reached - set(TEST_ONLY))
+    listable = public | _public_fields() | set(_defaulted_parameters())
+    stale = sorted(name for name in TEST_ONLY if name not in listable or name in reached)
+    assert not unlisted, f"public definitions no CLI path reaches, missing from TEST_ONLY: {unlisted}"
+    assert not stale, f"TEST_ONLY entries that are not public or that cli.main reaches: {stale}"
 
 
 def test_record_fields_are_read_or_listed_as_test_only():
-    fields = _public_members(ast.AnnAssign)
+    fields = _public_fields()
     read = {
         n.attr for n in _code_nodes() if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }

@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from solenoidlab import measures, series
 from solenoidlab.measures import (
     DiscreteMeasure,
     build_mx_empirical,
     build_mx_exact,
-    component,
-    convolve,
     mix,
     pushforward_affine,
     self_similarity_residual,
@@ -18,6 +15,8 @@ from solenoidlab.measures import (
 from solenoidlab.periodic import PeriodicFn, eval as fn_eval
 from solenoidlab.series import eval_S
 from solenoidlab.words import SystemParams, Word
+
+from series_oracles import component, convolve
 
 COS = PeriodicFn.cosine()
 
@@ -160,20 +159,6 @@ def test_convolve_dirac_pair():
     assert abs(conv.indices[0] - math.floor((u + v) * 2**8)) <= 1
 
 
-def test_convolve_rows_stay_within_the_series_chunk_cap(monkeypatch):
-    # the cap is read where series owns it: patched there alone, it bounds
-    # every array of convolve's rows, and the result keeps its bits
-    rng = np.random.default_rng(7)
-    mu, nu = rand_measure(rng, level=12, natoms=100), rand_measure(rng, level=12, natoms=90)
-    want = convolve(mu, nu, 12)
-    sizes, original = [], measures.bin_index
-    monkeypatch.setattr(measures, "bin_index", lambda v, b, level: sizes.append(np.size(v)) or original(v, b, level))
-    monkeypatch.setattr(series, "DEFAULT_CHUNK_CAP", 10 * len(mu.indices))
-    got = convolve(mu, nu, 12)
-    assert 0 < max(sizes) <= 10 * len(mu.indices) and len(sizes) > 1
-    assert got.indices.tobytes() == want.indices.tobytes() and got.weights.tobytes() == want.weights.tobytes()
-
-
 def test_convolve_matches_sampling_oracle():
     # uniform-on-cell * uniform-on-cell, entropy checked against Monte Carlo
     from solenoidlab.entropy import entropy
@@ -274,6 +259,22 @@ def test_total_variation_self_and_disjoint():
 # ---------------------------------------------------------------- refusals
 
 _UNI = DiscreteMeasure.uniform_unit(2, 4)
+
+
+def test_measure_refuses_a_base_below_2():
+    # the level check's search for the deepest level never ends at b = 1
+    for build in (lambda: DiscreteMeasure.from_values(1, 3, [0.5]), lambda: DiscreteMeasure(1, 3, [0], [1.0])):
+        with pytest.raises(ValueError, match="^b must be >= 2, got b=1$"):
+            build()
+
+
+def test_measure_refuses_a_level_outside_the_exact_index_cap():
+    uni = DiscreteMeasure.uniform_unit(2, 6)
+    for build in (lambda: DiscreteMeasure(2, -1, [0], [1.0]), lambda: uni.coarsen(-2)):
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            build()
+    with pytest.raises(ValueError, match=r"^level 46 too deep: b\^46 = 70368744177664 is above the exact-index cap"):
+        DiscreteMeasure(2, 46, [0], [1.0])
 
 
 @pytest.mark.parametrize(

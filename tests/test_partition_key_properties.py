@@ -11,7 +11,7 @@ oracle values lies within that tolerance of an edge at its level is skipped.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from solenoidlab.partitions import _theta_keys, partition_key
+from solenoidlab.partitions import _theta_keys, partition_key, theta_measure
 from solenoidlab.separation import GENERIC_BASE_POINT, TransversalityCertificate
 from solenoidlab.series import eval_S
 from solenoidlab.words import Word, nhat, word_point
@@ -42,7 +42,8 @@ def test_theta_key_columns_match_partition_key(data):
     assume(scales)
     n = data.draw(st.sampled_from(scales))
     C = data.draw(st.floats(0.5, 2.0))
-    theta, coarse, fine = _theta_keys(p, cert, n, C)
+    theta = theta_measure(p, cert.a, n)
+    coarse, fine = _theta_keys(p, cert, theta, n, C)
     slack = tol(p, 0)
     codes = data.draw(st.lists(st.integers(0, len(theta.codes) - 1), min_size=1, max_size=8))
     for code in codes:

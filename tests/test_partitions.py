@@ -198,6 +198,17 @@ def test_theta_entropy_zero_phi(cert):
         assert r.coarse == 0.0  # all series values coincide
 
 
+def test_theta_entropy_refuses_an_over_cap_scale_before_any_row(cert, monkeypatch):
+    calls = []
+    over_prefixes = partitions.series_over_prefixes
+    monkeypatch.setattr(partitions, "series_over_prefixes", lambda *a, **k: calls.append(a) or over_prefixes(*a, **k))
+    # nhat(10) - 2 = 6 fits the tile cap; nhat(40) - 2 = 29 does not
+    with pytest.raises(ValueError, match=r"^theta_measure: n=40, suffix length t=2 needs b\^29 = 536870912 words, "
+                       r"above the materialization cap 4194304; the longest length allowed at b=2 is 22$"):
+        theta_entropy_table(params(), cert, [10, 40], 1.0)
+    assert calls == []
+
+
 def test_theta_entropy_counting_bound(cert):
     p = params()
     rows = theta_entropy_table(p, cert, [10, 14, 18], 1.2)

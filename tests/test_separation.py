@@ -9,11 +9,12 @@ from solenoidlab.separation import (
     GENERIC_BASE_POINT,
     condition_H_scan,
     exp_separation_scan,
-    min_gap,
     transversality_search,
     validate_certificate,
 )
 from solenoidlab.words import SystemParams, Word
+
+from series_oracles import min_gap
 
 COS = PeriodicFn.cosine()
 
@@ -174,6 +175,16 @@ def test_transversality_zero_phi_fails():
     assert transversality_search(params(phi=PeriodicFn.zero()), [2, 3], grid_size=1024) is None
     with pytest.raises(ValueError, match=r"t=13 is 8192, above WORD_CAP 4096; .* b=2 is 12"):
         transversality_search(params(phi=PeriodicFn.zero()), [13], grid_size=1024)
+
+
+def test_transversality_refuses_an_over_cap_t_before_any_work(monkeypatch):
+    calls = []
+    append_words = separation._append_words
+    monkeypatch.setattr(separation, "_append_words", lambda *args: calls.append(args) or append_words(*args))
+    with pytest.raises(ValueError, match=r"^transversality_search: prefix budget b\^t at t=13 is 8192, above "
+                       r"WORD_CAP 4096; the largest t allowed at b=2 is 12$"):
+        transversality_search(params(), [1, 13], grid_size=1024)
+    assert calls == []
 
 
 def test_transversality_degenerate_fails():

@@ -94,6 +94,13 @@ def test_max_level_is_exact_at_powers():
     assert max_level(10, 10**15) == 15
 
 
+@pytest.mark.parametrize("b", [1, 0, -1])
+def test_max_level_refuses_a_base_below_2(b):
+    # b^L never outgrows the limit at these bases, so the search would not end
+    with pytest.raises(ValueError, match=rf"^b must be >= 2, got b={b}$"):
+        max_level(b, 2**45)
+
+
 def test_max_level_keeps_the_fixed_caps():
     # the exact-index caps 2^23, 2^30 and 2^45 give the levels the float
     # formula gave for every base up to 999
